@@ -206,7 +206,7 @@ func (e *Engine) Locate(tr *sim.Trace, beaconName string) (*Measurement, error) 
 
 // LocateContext is Locate under a context: a deadline or cancellation
 // (a disconnected client, a draining server) stops the pipeline between
-// stages and interrupts the regression mid-Nelder-Mead. A canceled call
+// stages and interrupts the regression's position search. A canceled call
 // returns an error matching the context error under errors.Is and is
 // counted in "core.canceled" rather than as a health rejection.
 func (e *Engine) LocateContext(ctx context.Context, tr *sim.Trace, beaconName string) (*Measurement, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -199,6 +200,52 @@ func TestSessionTxPowerDriftRecalibration(t *testing.T) {
 	}
 	if h := s.health(); !h.Has(ReasonTxPowerDrift) {
 		t.Errorf("session health %v missing txpower-drift after recalibration", h)
+	}
+}
+
+// TestRestoredGammaBandBitExactAfterRecalibrations pins the restored Γ
+// band to the live one bit for bit once a session has recalibrated more
+// than once. The band used to be shifted one recalibration at a time
+// while a restore rebuilt it as base + cumulative shift; floating-point
+// addition is not associative, so with these shifts (9.1 dB, three
+// times) the two bands differed in the last bit — enough for a gradient
+// search to land restored fixes elsewhere.
+func TestRestoredGammaBandBitExactAfterRecalibrations(t *testing.T) {
+	eng, err := NewEngine(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := eng.NewTrackSession(TrackSessionConfig{Beacon: "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		center := (s.estCfg.GammaSoftMin + s.estCfg.GammaSoftMax) / 2
+		for i := 0; i < driftMinFixes; i++ {
+			s.noteGamma(center + 9.1)
+		}
+	}
+	if s.recals < 2 {
+		t.Fatalf("scenario recalibrated %d times, want ≥ 2", s.recals)
+	}
+	var buf bytes.Buffer
+	if err := s.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fromJSON, err := eng.RestoreTrackSessionFrom(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromMem, err := eng.RestoreTrackSession(s.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*TrackSession{"json": fromJSON, "memory": fromMem} {
+		if math.Float64bits(r.estCfg.GammaSoftMin) != math.Float64bits(s.estCfg.GammaSoftMin) ||
+			math.Float64bits(r.estCfg.GammaSoftMax) != math.Float64bits(s.estCfg.GammaSoftMax) {
+			t.Errorf("%s restore: Γ band [%.17g, %.17g], live [%.17g, %.17g]", name,
+				r.estCfg.GammaSoftMin, r.estCfg.GammaSoftMax, s.estCfg.GammaSoftMin, s.estCfg.GammaSoftMax)
+		}
 	}
 }
 

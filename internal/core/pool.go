@@ -10,8 +10,8 @@ import (
 )
 
 // locateScratch bundles the reusable per-run state of one pipeline
-// execution: the estimator's solver (simplex, centroid, residual and
-// seed arenas) and the zero-phase ANF output buffer. One scratch serves
+// execution: the estimator's solver (log-distance, residual and seed
+// arenas) and the zero-phase ANF output buffer. One scratch serves
 // one pipeline run at a time; LocateAll's shard workers each own one
 // for their lifetime, and every other entry point borrows one from a
 // sync.Pool, so steady-state traffic re-runs the hot path on warm

@@ -344,14 +344,23 @@ func (s *TrackSession) noteGamma(gamma float64) {
 	med := robust.MedianInPlace(s.gammaScratch[:n])
 	center := (s.estCfg.GammaSoftMin + s.estCfg.GammaSoftMax) / 2
 	if math.Abs(med-center) > driftThresholdDB {
-		shift := med - center
-		s.estCfg.GammaSoftMin += shift
-		s.estCfg.GammaSoftMax += shift
-		s.gammaShift += shift
+		s.gammaShift += med - center
+		s.applyGammaShift()
 		s.gammaN, s.gammaPos = 0, 0 // re-measure against the new anchor
 		s.recals++
 		s.eng.met.sessRecals.Inc()
 	}
+}
+
+// applyGammaShift sets the live Γ band to the base band plus the
+// cumulative shift. Live recalibration and RestoreTrackSession both go
+// through it, so a restored band is bit-identical to the live one:
+// shifting the band one recalibration at a time would round differently
+// (floating-point addition is not associative) after two or more
+// recalibrations.
+func (s *TrackSession) applyGammaShift() {
+	s.estCfg.GammaSoftMin = s.baseEstCfg.GammaSoftMin + s.gammaShift
+	s.estCfg.GammaSoftMax = s.baseEstCfg.GammaSoftMax + s.gammaShift
 }
 
 // gammaHistOldestFirst appends the drift window to dst oldest-first:
@@ -572,8 +581,7 @@ func (e *Engine) RestoreTrackSession(cp *SessionCheckpoint) (*TrackSession, erro
 	// checkpoint was taken.
 	s.gammaShift = cp.GammaShift
 	if s.estCfg.GammaSoftMin != 0 || s.estCfg.GammaSoftMax != 0 {
-		s.estCfg.GammaSoftMin += cp.GammaShift
-		s.estCfg.GammaSoftMax += cp.GammaShift
+		s.applyGammaShift()
 	}
 	hist := cp.GammaHist
 	if len(hist) > driftHistLen {

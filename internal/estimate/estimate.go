@@ -20,10 +20,15 @@
 // the elliptical least-squares fit as the *initializer* and refines the
 // position with a dB-domain solver: for any fixed position, (n, Γ) have a
 // closed form (linear regression of RSS on log-distance — the same
-// quantity Eq. 5 minimizes), so only a 2-D Nelder–Mead search over
-// position is needed. Straight-line movement leaves the cross-track
-// coordinate sign-ambiguous; the L-shaped movement resolves the ambiguity
-// by intersecting the per-leg result sets (Sec. 5.1).
+// quantity Eq. 5 minimizes), so the problem is separable least squares
+// and only the position is searched (variable projection, Golub &
+// Pereyra). The search is a trust-region Newton method with an analytic
+// gradient that chains through the closed-form n(x, h) and Γ(x, h), the
+// soft (n, Γ) prior entering as two extra residual rows; one search
+// serves the planar, collinear, L-shape and 3-D paths and both losses.
+// Straight-line movement leaves the cross-track coordinate
+// sign-ambiguous; the L-shaped movement resolves the ambiguity by
+// intersecting the per-leg result sets (Sec. 5.1).
 package estimate
 
 import (
@@ -133,11 +138,12 @@ type Config struct {
 	// (zero selects 1.345 / 4.685, the 95%-Gaussian-efficiency values).
 	HuberDelta float64
 	TukeyC     float64
-	// IRLSIterations is the number of reweighting passes per inner fit
-	// (zero selects 3; the weighted closed form converges fast).
+	// IRLSIterations caps the reweighting passes per inner fit (zero
+	// selects 3; the weighted closed form converges fast, and a fit stops
+	// early once its weights no longer change).
 	IRLSIterations int
-	// Cancel, if non-nil, is polled between refinement seeds and inside
-	// the Nelder–Mead iterations; once it reports true the search stops
+	// Cancel, if non-nil, is polled between search seeds and every few
+	// trust-region iterations; once it reports true the search stops
 	// and the run returns ErrCanceled. Wire a context in with
 	// func() bool { return ctx.Err() != nil }.
 	Cancel func() bool `json:"-"`
@@ -177,16 +183,6 @@ func (c *Config) softDefaults() {
 	}
 }
 
-// penalizedScoreAt is the position-search objective at candidate
-// position (x, h): dB-domain residual loss (squared or robust, per
-// cfg.Loss) plus the soft plausibility prior on the implied (n, Γ).
-func (s *Solver) penalizedScoreAt(obs []Obs, cfg *Config, x, h float64) float64 {
-	n, gamma, ss, _ := s.fitAt(obs, cfg, x, h)
-	penN := math.Max(0, n-cfg.NSoftMax) + math.Max(0, cfg.NSoftMin-n)
-	penG := math.Max(0, gamma-cfg.GammaSoftMax) + math.Max(0, cfg.GammaSoftMin-gamma)
-	return ss + cfg.PenaltyWeight*float64(len(obs))*(penN*penN*4+penG*penG*0.25)
-}
-
 func (s *Solver) runSegmented(obs []Obs, segStarts []int, cfg Config) (*Estimate, error) {
 	if cfg.MinSamples < 5 {
 		cfg.MinSamples = 5
@@ -201,7 +197,13 @@ func (s *Solver) runSegmented(obs []Obs, segStarts []int, cfg Config) (*Estimate
 		return nil, ErrCanceled
 	}
 	cfg.softDefaults()
-	segs := normalizeSegments(len(obs), segStarts)
+	var segs [][2]int
+	if len(segStarts) == 0 {
+		s.seg1[0] = [2]int{0, len(obs)}
+		segs = s.seg1[:]
+	} else {
+		segs = normalizeSegments(len(obs), segStarts)
+	}
 	major, minor, dir := movementPCA(obs)
 	if major < cfg.MinSpread {
 		return nil, fmt.Errorf("%w: spread %.2f m < %.2f m", ErrInsufficientMotion, major, cfg.MinSpread)
@@ -245,78 +247,73 @@ func normalizeSegments(n int, segStarts []int) [][2]int {
 	return segs
 }
 
-// scoreAt sums the per-segment penalized inner-fit scores for a
-// candidate position (x, h).
-func (s *Solver) scoreAt(obs []Obs, segs [][2]int, cfg *Config, x, h float64) float64 {
-	total := 0.0
-	for _, sg := range segs {
-		total += s.penalizedScoreAt(obs[sg[0]:sg[1]], cfg, x, h)
-	}
-	return total
-}
+// ringPick is how many screened ring seeds join a planar search.
+const ringPick = 6
 
 // runPlanar handles well-spread 2-D movement: elliptical-LS and ring
-// initializers, then Nelder–Mead refinement of the position in the dB
-// domain.
+// seeds, then the multi-start trust-region search over the position in
+// the dB domain.
 func (s *Solver) runPlanar(obs []Obs, segs [][2]int, cfg Config) (*Estimate, error) {
-	// All elliptical seeds are refined: the objective's global basin
+	s.obj = objective{kind: searchPlanar, dim: 2, obs: obs, segs: segs, cfg: cfg}
+	defer s.clearObjective()
+	// All elliptical seeds are searched: the objective's global basin
 	// around the true position is narrow (a distant position with an
 	// inflated exponent often *scores* better than a near-miss), so seed
 	// score alone cannot rank basins — every linearized-fit hypothesis
 	// gets a local search.
-	seeds := s.seeds[:0]
-	for n := cfg.NMin; n <= cfg.NMax+1e-9; n += math.Max(cfg.NGridStep, 0.25) {
-		if c, ok := s.ellipticalLS(obs, n); ok {
-			seeds = append(seeds, seedXY{c.X, c.H})
+	step := math.Max(cfg.NGridStep, 0.25)
+	starts := s.reserveStarts(gridLen(cfg.NMin, cfg.NMax, step) + ringPick)
+	var e normalEq
+	e.k = 4
+	var row [5]float64
+	for _, o := range obs {
+		planarRow(o, &row)
+		e.addRow(&row)
+	}
+	for n := cfg.NMin; n <= cfg.NMax+1e-9; n += step {
+		rho, _ := s.rhoValues(obs, n)
+		e.xty = [5]float64{}
+		for i, o := range obs {
+			planarRow(o, &row)
+			e.addRHS(&row, rho[i])
+		}
+		p, ok := e.solve()
+		if !ok {
+			p, ok = lsFallback(len(obs), 4, func(i int, r *[5]float64) { planarRow(obs[i], r) }, rho)
+		}
+		if ok && p[0] > 0 {
+			starts = append(starts, trState{x: vec{p[1] / (2 * p[0]), p[2] / (2 * p[0])}})
 		}
 	}
-	// Ring seeds are screened by score; the best few join the refinement.
-	rings := s.rings[:0]
-	for _, r := range s.ringInits(obs) {
-		ss := s.scoreAt(obs, segs, &cfg, r[0], r[1])
-		rings = append(rings, scoredSeed{seedXY{r[0], r[1]}, ss})
-	}
-	const ringPick = 6
-	for i := 0; i < len(rings) && i < ringPick; i++ {
-		min := i
-		for j := i + 1; j < len(rings); j++ {
-			if rings[j].v < rings[min].v {
-				min = j
-			}
+	// Ring seeds are screened by score; the best few join the search.
+	var topArr [ringPick]scoredSeed
+	top := topArr[:0]
+	for _, r := range s.ringInits(maxRSS(obs)) {
+		st := trState{x: vec{r[0], r[1]}}
+		var g vec
+		s.start(&st, &g)
+		v := st.f
+		if len(top) == ringPick && !(v < top[ringPick-1].v) {
+			continue
 		}
-		rings[i], rings[min] = rings[min], rings[i]
-	}
-	for i := 0; i < len(rings) && i < ringPick; i++ {
-		seeds = append(seeds, rings[i].s)
-	}
-	s.seeds, s.rings = seeds, rings
-
-	var bx, bh float64
-	bv := math.Inf(1)
-	f := func(v []float64) float64 {
-		if math.Hypot(v[0], v[1]) > cfg.MaxRange {
-			return math.Inf(1)
+		if len(top) < ringPick {
+			top = append(top, scoredSeed{})
 		}
-		return s.scoreAt(obs, segs, &cfg, v[0], v[1])
-	}
-	for _, sd := range seeds {
-		if cfg.canceled() {
-			return nil, ErrCanceled
+		j := len(top) - 1
+		for ; j > 0 && v < top[j-1].v; j-- {
+			top[j] = top[j-1]
 		}
-		x0 := s.nm.x0[:2]
-		x0[0], x0[1] = sd.x, sd.h
-		x, v := s.minimize(f, x0, 1.0, 200, cfg.Cancel)
-		if v < bv {
-			bv, bx, bh = v, x[0], x[1]
-		}
+		top[j] = scoredSeed{r[0], r[1], v}
 	}
-	if cfg.canceled() {
-		return nil, ErrCanceled
+	for _, t := range top {
+		starts = append(starts, trState{x: vec{t.x, t.h}})
 	}
-	if math.IsInf(bv, 1) {
-		return nil, ErrNoSolution
+	s.starts = starts
+	best, err := s.multiStart()
+	if err != nil {
+		return nil, err
 	}
-	return s.finish(obs, segs, cfg, []Candidate{{X: bx, H: bh}}, false)
+	return s.finish(obs, segs, cfg, []Candidate{{X: best.x[0], H: best.x[1]}}, false)
 }
 
 // runCollinear handles (near-)collinear movement along unit vector dir:
@@ -325,49 +322,28 @@ func (s *Solver) runPlanar(obs []Obs, segs [][2]int, cfg Config) (*Estimate, err
 // candidates are returned.
 func (s *Solver) runCollinear(obs []Obs, segs [][2]int, cfg Config, dir [2]float64) (*Estimate, error) {
 	perp := [2]float64{-dir[1], dir[0]}
-	pos := func(sc, w float64) (float64, float64) {
-		return sc*dir[0] + w*perp[0], sc*dir[1] + w*perp[1]
-	}
-	seeds := s.seeds[:0]
+	s.obj = objective{kind: searchCollinear, dim: 2, obs: obs, segs: segs, cfg: cfg, dir: dir, perp: perp}
+	defer s.clearObjective()
+	starts := s.reserveStarts(1 + ringSeeds)
 	if s0, w0, ok := s.ellipticalLSLine(obs, dir, 2.0); ok {
-		seeds = append(seeds, seedXY{s0, w0})
+		starts = append(starts, trState{x: vec{s0, math.Max(w0, 0.3)}})
 	}
-	for _, r := range s.ringInits(obs) {
+	for _, r := range s.ringInits(maxRSS(obs)) {
 		// Project ring candidates onto the (s, w) frame, w ≥ 0.
 		sc := r[0]*dir[0] + r[1]*dir[1]
 		w := math.Abs(r[0]*perp[0] + r[1]*perp[1])
-		seeds = append(seeds, seedXY{sc, w})
+		starts = append(starts, trState{x: vec{sc, math.Max(w, 0.3)}})
 	}
-	s.seeds = seeds
-	f := func(v []float64) float64 {
-		x, h := pos(v[0], math.Abs(v[1]))
-		if math.Hypot(x, h) > cfg.MaxRange {
-			return math.Inf(1)
-		}
-		return s.scoreAt(obs, segs, &cfg, x, h)
+	s.starts = starts
+	best, err := s.multiStart()
+	if err != nil {
+		return nil, err
 	}
-	var bs, bw float64
-	bv := math.Inf(1)
-	for _, sd := range seeds {
-		if cfg.canceled() {
-			return nil, ErrCanceled
-		}
-		x0 := s.nm.x0[:2]
-		x0[0], x0[1] = sd.x, math.Max(sd.h, 0.3)
-		x, v := s.minimize(f, x0, 1.0, 200, cfg.Cancel)
-		if v < bv {
-			bv, bs, bw = v, x[0], math.Abs(x[1])
-		}
+	bs, bw := best.x[0], math.Abs(best.x[1])
+	pos := func(sc, w float64) Candidate {
+		return Candidate{X: sc*dir[0] + w*perp[0], H: sc*dir[1] + w*perp[1]}
 	}
-	if cfg.canceled() {
-		return nil, ErrCanceled
-	}
-	if math.IsInf(bv, 1) {
-		return nil, ErrNoSolution
-	}
-	x1, h1 := pos(bs, bw)
-	x2, h2 := pos(bs, -bw)
-	return s.finish(obs, segs, cfg, []Candidate{{X: x1, H: h1}, {X: x2, H: h2}}, true)
+	return s.finish(obs, segs, cfg, []Candidate{pos(bs, bw), pos(bs, -bw)}, true)
 }
 
 // finish computes per-segment (n, Γ), residual statistics and confidence
@@ -475,24 +451,105 @@ func (s *Solver) rhoValues(obs []Obs, n float64) ([]float64, float64) {
 	return rho, rsm
 }
 
-// ellipticalLS is the paper's linearized regression at a fixed exponent
-// (Eqs. 3–4): A·(p²+q²) + C·p + D·q + G = ρ. It returns the implied
-// position when the fit is physical (A > 0); it serves as the initializer
-// for the dB-domain refinement.
-func (s *Solver) ellipticalLS(obs []Obs, n float64) (Candidate, bool) {
-	rho, _ := s.rhoValues(obs, n)
-	x := mathx.NewMatrix(len(obs), 4)
-	for i, o := range obs {
-		x.Set(i, 0, o.P*o.P+o.Q*o.Q)
-		x.Set(i, 1, o.P)
-		x.Set(i, 2, o.Q)
-		x.Set(i, 3, 1)
+// normalEq is a linear least-squares system of at most 5 parameters in
+// its normal form XᵀX·p = Xᵀy, in fixed-size storage. The elliptical
+// initializers build XᵀX once per run — the design matrix does not
+// depend on the exponent, only ρ does — and re-solve it for each grid
+// exponent without allocating. Sums and elimination follow
+// mathx.LeastSquares's arithmetic, so the seeds are the ones it gives.
+type normalEq struct {
+	k   int
+	xtx [5][5]float64
+	xty [5]float64
+}
+
+// addRow accumulates one design row into XᵀX.
+func (e *normalEq) addRow(row *[5]float64) {
+	for i := 0; i < e.k; i++ {
+		if row[i] == 0 {
+			continue
+		}
+		for j := 0; j < e.k; j++ {
+			e.xtx[i][j] += row[i] * row[j]
+		}
 	}
-	p, err := mathx.LeastSquares(x, rho)
-	if err != nil || p[0] <= 0 {
-		return Candidate{}, false
+}
+
+// addRHS accumulates one design row and its response into Xᵀy.
+func (e *normalEq) addRHS(row *[5]float64, y float64) {
+	for i := 0; i < e.k; i++ {
+		if row[i] != 0 {
+			e.xty[i] += row[i] * y
+		}
 	}
-	return Candidate{X: p[1] / (2 * p[0]), H: p[2] / (2 * p[0])}, true
+}
+
+// solve solves the system by Gaussian elimination with partial pivoting;
+// ok is false when it is singular.
+func (e *normalEq) solve() (p [5]float64, ok bool) {
+	a, b, n := e.xtx, e.xty, e.k
+	for col := 0; col < n; col++ {
+		pivot := col
+		maxAbs := math.Abs(a[col][col])
+		for r := col + 1; r < n; r++ {
+			if abs := math.Abs(a[r][col]); abs > maxAbs {
+				maxAbs, pivot = abs, r
+			}
+		}
+		if maxAbs < 1e-12 {
+			return p, false
+		}
+		a[pivot], a[col] = a[col], a[pivot]
+		b[pivot], b[col] = b[col], b[pivot]
+		pv := a[col][col]
+		for r := col + 1; r < n; r++ {
+			f := a[r][col] / pv
+			if f == 0 {
+				continue
+			}
+			for c := col; c < n; c++ {
+				a[r][c] = a[r][c] - f*a[col][c]
+			}
+			b[r] = b[r] - f*b[col]
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		sum := b[i]
+		for j := i + 1; j < n; j++ {
+			sum -= a[i][j] * p[j]
+		}
+		p[i] = sum / a[i][i]
+	}
+	return p, true
+}
+
+// lsFallback solves a singular elliptical system through
+// mathx.LeastSquares's QR and ridge fallbacks (allocating: singular
+// designs are rare). row fills observation i's design row.
+func lsFallback(m, k int, row func(i int, r *[5]float64), y []float64) ([5]float64, bool) {
+	x := mathx.NewMatrix(m, k)
+	var r [5]float64
+	for i := 0; i < m; i++ {
+		row(i, &r)
+		for j := 0; j < k; j++ {
+			x.Set(i, j, r[j])
+		}
+	}
+	var p [5]float64
+	sol, err := mathx.LeastSquares(x, y)
+	if err != nil {
+		return p, false
+	}
+	copy(p[:], sol)
+	return p, true
+}
+
+// planarRow is the design row of the paper's linearized regression
+// (Eqs. 3–4), A·(p²+q²) + C·p + D·q + G = ρ, whose fit at a fixed
+// exponent implies the position (C/(2A), D/(2A)) when physical (A > 0);
+// it seeds the dB-domain search.
+func planarRow(o Obs, r *[5]float64) {
+	*r = [5]float64{o.P*o.P + o.Q*o.Q, o.P, o.Q, 1}
 }
 
 // ellipticalLSLine is the reduced 1-D elliptical regression for collinear
@@ -501,15 +558,23 @@ func (s *Solver) ellipticalLS(obs []Obs, n float64) (Candidate, bool) {
 // cross-track magnitude |w| = sqrt(G/A − s²).
 func (s *Solver) ellipticalLSLine(obs []Obs, dir [2]float64, n float64) (along, w float64, ok bool) {
 	rho, _ := s.rhoValues(obs, n)
-	x := mathx.NewMatrix(len(obs), 3)
-	for i, o := range obs {
-		u := o.P*dir[0] + o.Q*dir[1]
-		x.Set(i, 0, u*u)
-		x.Set(i, 1, u)
-		x.Set(i, 2, 1)
+	lineRow := func(i int, r *[5]float64) {
+		u := obs[i].P*dir[0] + obs[i].Q*dir[1]
+		*r = [5]float64{u * u, u, 1}
 	}
-	p, err := mathx.LeastSquares(x, rho)
-	if err != nil || p[0] <= 0 {
+	var e normalEq
+	e.k = 3
+	var row [5]float64
+	for i := range obs {
+		lineRow(i, &row)
+		e.addRow(&row)
+		e.addRHS(&row, rho[i])
+	}
+	p, ok := e.solve()
+	if !ok {
+		p, ok = lsFallback(len(obs), 3, lineRow, rho)
+	}
+	if !ok || p[0] <= 0 {
 		return 0, 0, false
 	}
 	along = p[1] / (2 * p[0])

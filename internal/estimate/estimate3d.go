@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"errors"
 	"math"
 
 	"locble/internal/mathx"
@@ -31,12 +32,21 @@ func (e *Estimate3D) Range() float64 {
 
 // Run3D extends the regression with a third dimension. The elliptical
 // linearization A·(p²+q²+r²) + C·p + D·q + E·r + G = ρ seeds the search;
-// a 3-parameter Nelder–Mead over position with the closed-form (n, Γ)
-// inner fit refines it. The movement must span all three dimensions for
-// the fit to be well conditioned; the practical phone gesture is an
-// L-shaped walk plus raising the phone. Like the 2-D search, the inner
-// loop runs on the solver's arenas and allocates nothing.
+// the shared trust-region search over the three position coordinates,
+// with the closed-form (n, Γ) inner fit, refines it. The movement must
+// span all three dimensions for the fit to be well conditioned; the
+// practical phone gesture is an L-shaped walk plus raising the phone.
+// Like the 2-D search, it runs on the solver's arenas. A canceled run
+// counts in estimate.canceled.
 func (s *Solver) Run3D(obs []Obs3D, cfg Config) (*Estimate3D, error) {
+	est, err := s.run3D(obs, cfg)
+	if errors.Is(err, ErrCanceled) {
+		metCanceled.Inc()
+	}
+	return est, err
+}
+
+func (s *Solver) run3D(obs []Obs3D, cfg Config) (*Estimate3D, error) {
 	if cfg.MinSamples < 6 {
 		cfg.MinSamples = 6
 	}
@@ -46,65 +56,58 @@ func (s *Solver) Run3D(obs []Obs3D, cfg Config) (*Estimate3D, error) {
 	if len(obs) < cfg.MinSamples {
 		return nil, ErrTooFewSamples
 	}
+	s.obj = objective{kind: search3D, dim: 3, obs3: obs, cfg: cfg}
+	defer s.clearObjective()
 
-	// Flatten to 2-D Obs for the shared ring initializer (it needs only
-	// RSS).
-	flat := make([]Obs, len(obs))
+	// Seeds: elliptical LS at each grid exponent plus rings in the z = 0
+	// plane.
+	step := math.Max(cfg.NGridStep, 0.5)
+	starts := s.reserveStarts(gridLen(cfg.NMin, cfg.NMax, step) + ringSeeds)
+	var e normalEq
+	e.k = 5
+	var row [5]float64
+	rsm, top := 0.0, math.Inf(-1)
+	for _, o := range obs {
+		row3D(o, &row)
+		e.addRow(&row)
+		rsm += o.RSS
+		top = math.Max(top, o.RSS)
+	}
+	rsm /= float64(len(obs))
+	s.rho = growFloats(s.rho, len(obs))
+	rho := s.rho
+	for n := cfg.NMin; n <= cfg.NMax+1e-9; n += step {
+		e.xty = [5]float64{}
+		for i, o := range obs {
+			rho[i] = math.Pow(10, -(o.RSS-rsm)/(5*n))
+			row3D(o, &row)
+			e.addRHS(&row, rho[i])
+		}
+		p, ok := e.solve()
+		if !ok {
+			p, ok = lsFallback(len(obs), 5, func(i int, r *[5]float64) { row3D(obs[i], r) }, rho)
+		}
+		if ok && p[0] > 0 {
+			a := p[0]
+			starts = append(starts, trState{x: vec{p[1] / (2 * a), p[2] / (2 * a), p[3] / (2 * a)}})
+		}
+	}
+	for _, r := range s.ringInits(top) {
+		starts = append(starts, trState{x: vec{r[0], r[1], 0}})
+	}
+	s.starts = starts
+	best, err := s.multiStart()
+	if err != nil {
+		return nil, err
+	}
+
+	var g vec
+	_, n, gamma := s.fit3At(obs, &cfg, &best.x, false, &g) // refills s.gs
+	resid := growFloats(s.resid, len(obs))
 	for i, o := range obs {
-		flat[i] = Obs{T: o.T, RSS: o.RSS, P: o.P, Q: o.Q}
+		resid[i] = o.RSS - (gamma - 10*n*s.gs[i])
 	}
-	eval := func(x, h, z float64) (n, gamma, ss float64) {
-		return s.dbFit3At(obs, x, h, z, cfg.NMin, cfg.NMax)
-	}
-
-	// Seeds: elliptical LS plus rings in the z = 0 plane.
-	type seed struct{ x, h, z float64 }
-	var seeds []seed
-	for n := cfg.NMin; n <= cfg.NMax+1e-9; n += math.Max(cfg.NGridStep, 0.5) {
-		if c, ok := elliptical3DLS(obs, n); ok {
-			seeds = append(seeds, seed{c[0], c[1], c[2]})
-		}
-	}
-	for _, r := range s.ringInits(flat) {
-		seeds = append(seeds, seed{r[0], r[1], 0})
-	}
-
-	f := func(v []float64) float64 {
-		if math.Sqrt(v[0]*v[0]+v[1]*v[1]+v[2]*v[2]) > cfg.MaxRange {
-			return math.Inf(1)
-		}
-		_, _, ss := eval(v[0], v[1], v[2])
-		return ss
-	}
-	var bx, bh, bz float64
-	bv := math.Inf(1)
-	for _, sd := range seeds {
-		if cfg.canceled() {
-			return nil, ErrCanceled
-		}
-		x0 := s.nm.x0[:3]
-		x0[0], x0[1], x0[2] = sd.x, sd.h, sd.z
-		x, v := s.minimize(f, x0, 1.0, 250, cfg.Cancel)
-		if v < bv {
-			bv, bx, bh, bz = v, x[0], x[1], x[2]
-		}
-	}
-	if cfg.canceled() {
-		return nil, ErrCanceled
-	}
-	if math.IsInf(bv, 1) {
-		return nil, ErrNoSolution
-	}
-
-	n, gamma, _ := eval(bx, bh, bz)
-	resid := make([]float64, len(obs))
-	for i, o := range obs {
-		l := math.Sqrt((bx+o.P)*(bx+o.P) + (bh+o.Q)*(bh+o.Q) + (bz+o.R)*(bz+o.R))
-		if l < 0.05 {
-			l = 0.05
-		}
-		resid[i] = o.RSS - (gamma - 10*n*math.Log10(l))
-	}
+	s.resid = resid
 	mu, sigma := mathx.Mean(resid), mathx.StdDev(resid)
 	rms := 0.0
 	for _, r := range resid {
@@ -112,7 +115,7 @@ func (s *Solver) Run3D(obs []Obs3D, cfg Config) (*Estimate3D, error) {
 	}
 	rms = math.Sqrt(rms / float64(len(resid)))
 	return &Estimate3D{
-		X: bx, H: bh, Z: bz,
+		X: best.x[0], H: best.x[1], Z: best.x[2],
 		N: n, Gamma: gamma,
 		ResidualDB: rms,
 		Confidence: mathx.TwoSidedTailProb(mu, 0, math.Max(sigma, 0.25)),
@@ -120,63 +123,49 @@ func (s *Solver) Run3D(obs []Obs3D, cfg Config) (*Estimate3D, error) {
 	}, nil
 }
 
-// dbFit3At is dbFitAt with the 3-D distance lᵢ = |(x+pᵢ, h+qᵢ, z+rᵢ)|;
-// the log-distance buffer is the solver's gs arena.
-func (s *Solver) dbFit3At(obs []Obs3D, x, h, z, nMin, nMax float64) (n, gamma, ss float64) {
-	var sg, sr, sgg, sgr float64
-	nn := float64(len(obs))
+// fit3At is segEval for the 3-D extension — squared loss, one segment,
+// no prior — with lᵢ² = |(x+pᵢ, h+qᵢ, z+rᵢ)|². It returns the score (0
+// unless val), the fitted (n, Γ), and adds the gradient into grad.
+func (s *Solver) fit3At(obs []Obs3D, cfg *Config, x *vec, val bool, grad *vec) (score, n, gamma float64) {
+	var f fitSums
+	f.sw = float64(len(obs))
 	s.gs = growFloats(s.gs, len(obs))
 	gs := s.gs
 	for i, o := range obs {
-		l := math.Sqrt((x+o.P)*(x+o.P) + (h+o.Q)*(h+o.Q) + (z+o.R)*(z+o.R))
-		if l < 0.05 {
-			l = 0.05
+		dp, dq, dr := x[0]+o.P, x[1]+o.Q, x[2]+o.R
+		l2 := dp*dp + dq*dq + dr*dr
+		var d vec
+		if l2 < 0.0025 {
+			l2 = 0.0025
+		} else {
+			inv := math.Log10E / l2
+			d = vec{dp * inv, dq * inv, dr * inv}
 		}
-		g := math.Log10(l)
+		g := 0.5 * math.Log10(l2)
 		gs[i] = g
-		sg += g
-		sr += o.RSS
-		sgg += g * g
-		sgr += g * o.RSS
+		f.sg += g
+		f.sr += o.RSS
+		f.sgg += g * g
+		f.sgr += g * o.RSS
+		for k := range d {
+			f.a[k] += d[k]
+			f.b[k] += g * d[k]
+			f.c[k] += o.RSS * d[k]
+		}
 	}
-	den := nn*sgg - sg*sg
-	if den < 1e-12 {
-		n = (nMin + nMax) / 2
-	} else {
-		n = -((nn*sgr - sg*sr) / den) / 10
+	n, gamma, _ = f.solve(cfg.NMin, cfg.NMax)
+	if val {
+		for i, o := range obs {
+			r := o.RSS - (gamma - 10*n*gs[i])
+			score += r * r
+		}
 	}
-	n = math.Min(math.Max(n, nMin), nMax)
-	gamma = (sr + 10*n*sg) / nn
-	for i, o := range obs {
-		r := o.RSS - (gamma - 10*n*gs[i])
-		ss += r * r
-	}
-	return n, gamma, ss
+	fg := f.grad(n, gamma)
+	fg.addGrad(grad, 3, n)
+	return score, n, gamma
 }
 
-// elliptical3DLS is the 3-D linearized initializer.
-func elliptical3DLS(obs []Obs3D, n float64) ([3]float64, bool) {
-	rsm := 0.0
-	for _, o := range obs {
-		rsm += o.RSS
-	}
-	rsm /= float64(len(obs))
-	rho := make([]float64, len(obs))
-	for i, o := range obs {
-		rho[i] = math.Pow(10, -(o.RSS-rsm)/(5*n))
-	}
-	x := mathx.NewMatrix(len(obs), 5)
-	for i, o := range obs {
-		x.Set(i, 0, o.P*o.P+o.Q*o.Q+o.R*o.R)
-		x.Set(i, 1, o.P)
-		x.Set(i, 2, o.Q)
-		x.Set(i, 3, o.R)
-		x.Set(i, 4, 1)
-	}
-	p, err := mathx.LeastSquares(x, rho)
-	if err != nil || p[0] <= 0 {
-		return [3]float64{}, false
-	}
-	a := p[0]
-	return [3]float64{p[1] / (2 * a), p[2] / (2 * a), p[3] / (2 * a)}, true
+// row3D is the design row of the 3-D linearized initializer.
+func row3D(o Obs3D, r *[5]float64) {
+	*r = [5]float64{o.P*o.P + o.Q*o.Q + o.R*o.R, o.P, o.Q, o.R, 1}
 }

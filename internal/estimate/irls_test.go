@@ -100,8 +100,8 @@ func TestIRLSResistsOutliers(t *testing.T) {
 }
 
 // TestSolverIRLSZeroAlloc pins the robust path's allocation contract:
-// once the arenas are warm, the IRLS inner fit and a whole Nelder–Mead
-// minimization over it allocate nothing.
+// once the arenas are warm, the IRLS inner fit with its gradient and a
+// whole trust-region search over it allocate nothing.
 func TestSolverIRLSZeroAlloc(t *testing.T) {
 	obs := synthObs(5.5, 2, -60, 2.2, lPath(4, 4, 0.15), 2.0, rng.New(1))
 	cfg := DefaultConfig()
@@ -112,29 +112,21 @@ func TestSolverIRLSZeroAlloc(t *testing.T) {
 		t.Fatalf("warm-up run: %v", err)
 	}
 
+	var g vec
 	if n := testing.AllocsPerRun(100, func() {
-		s.robustFitAt(obs, 3, 1, &cfg)
+		s.segEval(obs, &cfg, 3, 1, true, &g)
 	}); n != 0 {
-		t.Errorf("robustFitAt allocates %v per call, want 0", n)
+		t.Errorf("robust segEval allocates %v per call, want 0", n)
 	}
-
-	f := func(v []float64) float64 {
-		_, _, ss, _ := s.robustFitAt(obs, v[0], v[1], &cfg)
-		return ss
-	}
-	if n := testing.AllocsPerRun(50, func() {
-		x0 := s.nm.x0[:2]
-		x0[0], x0[1] = 3, 1
-		s.minimize(f, x0, 1.0, 200, nil)
-	}); n != 0 {
-		t.Errorf("minimize over robustFitAt allocates %v per call, want 0", n)
+	if n := testing.AllocsPerRun(50, func() { localSearch(s, obs, cfg, 3, 1) }); n != 0 {
+		t.Errorf("a local search over the IRLS fit allocates %v per call, want 0", n)
 	}
 
 	cfg.Loss = LossTukey
 	if n := testing.AllocsPerRun(100, func() {
-		s.robustFitAt(obs, 3, 1, &cfg)
+		s.segEval(obs, &cfg, 3, 1, true, &g)
 	}); n != 0 {
-		t.Errorf("Tukey robustFitAt allocates %v per call, want 0", n)
+		t.Errorf("Tukey segEval allocates %v per call, want 0", n)
 	}
 }
 
@@ -219,7 +211,7 @@ func FuzzIRLS(f *testing.F) {
 		}
 		cfg.softDefaults()
 		s := NewSolver()
-		nf, gf, score, down := s.robustFitAt(obs, x, h, &cfg)
+		nf, gf, score, down := s.fitAt(obs, &cfg, x, h)
 		if math.IsNaN(nf) || nf < cfg.NMin || nf > cfg.NMax {
 			t.Fatalf("n = %v out of [%v, %v]", nf, cfg.NMin, cfg.NMax)
 		}

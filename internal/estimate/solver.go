@@ -2,52 +2,45 @@ package estimate
 
 import (
 	"errors"
-	"math"
 	"sync"
 )
 
 // Solver owns the estimator's reusable scratch: the log-distance and
 // residual buffers behind the closed-form inner fit, the ρ buffer of the
-// elliptical initializer, the Nelder–Mead simplex arena, and the seed
-// lists of the position search. A warmed Solver runs the whole inner
-// search loop — objective evaluations and simplex iterations — without
-// allocating; only the returned *Estimate (and its Candidates) is fresh
-// memory. A Solver is NOT safe for concurrent use: give each goroutine
-// its own (the LocateAll worker pool does exactly that), or go through
-// the package-level Run/RunSegmented/RunLShape/Run3D wrappers, which
-// draw from an internal sync.Pool.
-//
-// The Solver changes where buffers live, not what is computed: every
-// arithmetic expression is evaluated in the same order as the original
-// allocation-per-call implementation, so results are bit-identical.
+// elliptical initializer, the IRLS buffers, and the per-seed states of
+// the multi-start position search. A warmed Solver runs the whole
+// search — objective and gradient evaluations and trust-region
+// iterations — without allocating; only the returned *Estimate (and its
+// Candidates) is fresh memory. A Solver is NOT safe for concurrent use:
+// give each goroutine its own (the LocateAll worker pool does exactly
+// that), or go through the package-level Run/RunSegmented/RunLShape/
+// Run3D wrappers, which draw from an internal sync.Pool.
 type Solver struct {
 	// gs holds per-observation log-distances for the closed-form (n, Γ)
-	// fit; valid only within one dbFitAt/dbFit3At call.
+	// fit; valid only within one evaluation.
 	gs []float64
 	// resid holds per-observation fit residuals in finish.
 	resid []float64
 	// rho holds ρᵢ values for the elliptical-LS initializer.
 	rho []float64
 	// rr / w / madScratch are the IRLS residual, weight and MAD working
-	// buffers of the robust inner fit (robustFitAt).
+	// buffers of the robust inner fit.
 	rr, w, madScratch []float64
-	// nm is the Nelder–Mead simplex arena (fixed-size, up to 3 params).
-	nm nmArena
-	// seeds / rings are the position-search candidate lists.
-	seeds []seedXY
-	rings []scoredSeed
-	ringP [][2]float64
+	// obj is the objective the position search minimizes during a run.
+	obj objective
+	// starts holds one search state per seed of the multi-start; ringP
+	// the ring seed positions.
+	starts []trState
+	ringP  [][2]float64
+	// seg1 backs the single-segment list of an unsegmented run.
+	seg1 [1][2]int
 	// legA / legB are the per-leg observation splits of RunLShape.
 	legA, legB []Obs
 }
 
-// seedXY is one refinement starting position.
-type seedXY struct{ x, h float64 }
-
 // scoredSeed is a ring seed with its screening score.
 type scoredSeed struct {
-	s seedXY
-	v float64
+	x, h, v float64
 }
 
 // NewSolver returns an empty Solver; buffers grow on first use and are
@@ -133,118 +126,4 @@ func growFloats(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// --- Nelder–Mead simplex arena -------------------------------------------
-
-// nmMaxDim is the largest parameter count any estimator search uses
-// (2-D position, collinear (s, w), or 3-D position).
-const nmMaxDim = 3
-
-// nmArena holds the simplex of a Nelder–Mead search in fixed-size
-// arrays so a whole minimization runs without allocating. x0 is the
-// caller-visible seed buffer: write the start point into x0[:dim] and
-// pass that slice to minimize.
-type nmArena struct {
-	verts [nmMaxDim + 1][nmMaxDim]float64 // simplex vertices
-	vals  [nmMaxDim + 1]float64           // objective value per vertex
-	cent  [nmMaxDim]float64               // centroid of all but the worst
-	cand  [nmMaxDim]float64               // reflection candidate
-	cand2 [nmMaxDim]float64               // expansion / contraction candidate
-	x0    [nmMaxDim]float64               // seed scratch for callers
-}
-
-// sortSimplex orders the dim+1 vertices by ascending objective value
-// (insertion sort: at most 4 vertices, and values are almost sorted
-// between iterations).
-func (a *nmArena) sortSimplex(dim int) {
-	for i := 1; i <= dim; i++ {
-		for j := i; j > 0 && a.vals[j] < a.vals[j-1]; j-- {
-			a.vals[j], a.vals[j-1] = a.vals[j-1], a.vals[j]
-			a.verts[j], a.verts[j-1] = a.verts[j-1], a.verts[j]
-		}
-	}
-}
-
-// minimize runs the Nelder–Mead search over len(x0) parameters starting
-// from x0 with the given initial simplex scale, entirely inside the
-// solver's arena — steady state performs zero heap allocations. The
-// objective is cheap and smooth almost everywhere. A non-nil cancel is
-// polled every few iterations; cancellation stops the search early and
-// returns the best vertex so far (the caller decides whether to discard
-// it). The returned slice aliases the arena and is valid only until the
-// next minimize call — copy what you need immediately.
-func (s *Solver) minimize(f func([]float64) float64, x0 []float64, scale float64, iters int, cancel func() bool) ([]float64, float64) {
-	dim := len(x0)
-	a := &s.nm
-	for d := 0; d <= dim; d++ {
-		copy(a.verts[d][:dim], x0)
-		if d > 0 {
-			a.verts[d][d-1] += scale
-		}
-		a.vals[d] = f(a.verts[d][:dim])
-	}
-	lin := func(dst *[nmMaxDim]float64, av, bv *[nmMaxDim]float64, t float64) {
-		for i := 0; i < dim; i++ {
-			dst[i] = av[i] + t*(bv[i]-av[i])
-		}
-	}
-	spent := 0
-	for it := 0; it < iters; it++ {
-		spent = it + 1
-		if it%8 == 0 && cancel != nil && cancel() {
-			break
-		}
-		a.sortSimplex(dim)
-		// Centroid of all but the worst.
-		for i := 0; i < dim; i++ {
-			a.cent[i] = 0
-		}
-		for k := 0; k < dim; k++ {
-			for i := 0; i < dim; i++ {
-				a.cent[i] += a.verts[k][i]
-			}
-		}
-		for i := 0; i < dim; i++ {
-			a.cent[i] /= float64(dim)
-		}
-		lin(&a.cand, &a.verts[dim], &a.cent, 2) // c + (c − w)
-		reflV := f(a.cand[:dim])
-		switch {
-		case reflV < a.vals[0]:
-			lin(&a.cand2, &a.verts[dim], &a.cent, 3) // c + 2(c − w)
-			expV := f(a.cand2[:dim])
-			if expV < reflV {
-				a.verts[dim], a.vals[dim] = a.cand2, expV
-			} else {
-				a.verts[dim], a.vals[dim] = a.cand, reflV
-			}
-		case reflV < a.vals[dim-1]:
-			a.verts[dim], a.vals[dim] = a.cand, reflV
-		default:
-			lin(&a.cand2, &a.verts[dim], &a.cent, 0.5)
-			contrV := f(a.cand2[:dim])
-			if contrV < a.vals[dim] {
-				a.verts[dim], a.vals[dim] = a.cand2, contrV
-			} else {
-				for k := 1; k <= dim; k++ {
-					lin(&a.cand2, &a.verts[0], &a.verts[k], 0.5)
-					a.verts[k] = a.cand2
-					a.vals[k] = f(a.verts[k][:dim])
-				}
-			}
-		}
-		// Convergence: simplex collapsed in value and extent.
-		spread := 0.0
-		for i := 0; i < dim; i++ {
-			spread += math.Abs(a.verts[0][i] - a.verts[dim][i])
-		}
-		if math.Abs(a.vals[0]-a.vals[dim]) < 1e-10 && spread < 1e-6 {
-			break
-		}
-	}
-	metNMCalls.Inc()
-	metNMIters.Add(int64(spent))
-	a.sortSimplex(dim)
-	return a.verts[0][:dim], a.vals[0]
 }

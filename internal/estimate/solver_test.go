@@ -58,10 +58,10 @@ func TestSolverReuseIsStateless(t *testing.T) {
 	}
 }
 
-// TestSolverInnerLoopZeroAlloc pins the PR's headline property: once
-// the arenas are warm, the search's inner loop — the closed-form
-// (n, Γ) fit called per objective evaluation, and a whole Nelder–Mead
-// minimization — performs zero heap allocations.
+// TestSolverInnerLoopZeroAlloc pins the solver's headline property:
+// once the arenas are warm, the search's inner loop — the closed-form
+// (n, Γ) fit with its gradient, run per objective evaluation, and a
+// whole trust-region search — performs zero heap allocations.
 func TestSolverInnerLoopZeroAlloc(t *testing.T) {
 	obs := synthObs(5.5, 2, -60, 2.2, lPath(4, 4, 0.15), 2.0, rng.New(1))
 	cfg := DefaultConfig()
@@ -70,30 +70,42 @@ func TestSolverInnerLoopZeroAlloc(t *testing.T) {
 		t.Fatalf("warm-up run: %v", err)
 	}
 
+	var g vec
 	if n := testing.AllocsPerRun(100, func() {
-		s.dbFitAt(obs, 3, 1, cfg.NMin, cfg.NMax)
+		s.segEval(obs, &cfg, 3, 1, true, &g)
 	}); n != 0 {
-		t.Errorf("dbFitAt allocates %v per call, want 0", n)
+		t.Errorf("segEval allocates %v per call, want 0", n)
 	}
-
-	// The objective closure is created once per seed loop in the real
-	// search; it is the per-minimize-call cost that must be zero.
-	f := func(v []float64) float64 {
-		_, _, ss := s.dbFitAt(obs, v[0], v[1], cfg.NMin, cfg.NMax)
-		return ss
+	if n := testing.AllocsPerRun(50, func() { localSearch(s, obs, cfg, 3, 1) }); n != 0 {
+		t.Errorf("a local search allocates %v per call, want 0", n)
 	}
-	if n := testing.AllocsPerRun(50, func() {
-		x0 := s.nm.x0[:2]
-		x0[0], x0[1] = 3, 1
-		s.minimize(f, x0, 1.0, 200, nil)
-	}); n != 0 {
-		t.Errorf("minimize allocates %v per call, want 0", n)
+	// A whole run allocates only what it returns: the Estimate and its
+	// Candidates (the elliptical initializers solve in fixed-size storage).
+	if n := testing.AllocsPerRun(20, func() { s.Run(obs, cfg) }); n != 2 {
+		t.Errorf("a warm planar Run allocates %v per call, want 2", n)
+	}
+	obs3 := synth3D(3, 2, 1.2, -59, 2.0, 1.0, rng.New(8))
+	s.Run3D(obs3, cfg)
+	if n := testing.AllocsPerRun(5, func() { s.Run3D(obs3, cfg) }); n != 1 {
+		t.Errorf("a warm Run3D allocates %v per call, want 1", n)
 	}
 }
 
+// localSearch runs one planar trust-region search from (x, h) to
+// convergence, as a polish does, and returns its endpoint.
+func localSearch(s *Solver, obs []Obs, cfg Config, x, h float64) trState {
+	setObjective(s, searchPlanar, obs, nil, cfg, [2]float64{1, 0})
+	defer s.clearObjective()
+	st := trState{x: vec{x, h}}
+	var g vec
+	s.start(&st, &g)
+	s.search(&st, &g, polishIters)
+	return st
+}
+
 // BenchmarkSolverRun measures a dedicated Solver's full planar fit
-// (allocations here are only the returned Estimate and the elliptical
-// initializer's matrices — the search loop itself is allocation-free).
+// (allocations here are only the returned Estimate and its Candidates —
+// the initializers and the search are allocation-free).
 func BenchmarkSolverRun(b *testing.B) {
 	obs := synthObs(5.5, 2, -60, 2.2, lPath(4, 4, 0.15), 2.0, rng.New(1))
 	cfg := DefaultConfig()
@@ -110,22 +122,16 @@ func BenchmarkSolverRun(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverMinimize isolates one Nelder–Mead minimization on warm
+// BenchmarkSolverSearch isolates one local trust-region search on warm
 // arenas (must report 0 allocs/op).
-func BenchmarkSolverMinimize(b *testing.B) {
+func BenchmarkSolverSearch(b *testing.B) {
 	obs := synthObs(5.5, 2, -60, 2.2, lPath(4, 4, 0.15), 2.0, rng.New(1))
 	cfg := DefaultConfig()
 	s := NewSolver()
-	s.dbFitAt(obs, 3, 1, cfg.NMin, cfg.NMax)
-	f := func(v []float64) float64 {
-		_, _, ss := s.dbFitAt(obs, v[0], v[1], cfg.NMin, cfg.NMax)
-		return ss
-	}
+	localSearch(s, obs, cfg, 3, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x0 := s.nm.x0[:2]
-		x0[0], x0[1] = 3, 1
-		s.minimize(f, x0, 1.0, 200, nil)
+		localSearch(s, obs, cfg, 3, 1)
 	}
 }

@@ -593,7 +593,7 @@ func (s *System) Metrics() Metrics { return s.engine.Metrics() }
 
 // ProcessMetrics returns the process-wide metric snapshot shared by all
 // Systems: sigproc, estimate, and netproto library instrumentation
-// (Nelder–Mead iterations, L-shape outcomes, wire frame counts, …).
+// (position-search iterations, L-shape outcomes, wire frame counts, …).
 func ProcessMetrics() Metrics { return obs.Default.Snapshot() }
 
 // MetricsHandler returns an http.Handler serving the process-wide
