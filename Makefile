@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 # Chaos-soak duration for `make soak` (parsed by TestChaosSoak).
 SOAKTIME ?= 30s
 
-.PHONY: all build test race soak fuzz cover bench benchgate ci fmtcheck lint vuln microbench repro examples clean help
+.PHONY: all build test race soak fuzz cover bench benchgate ci fmtcheck lint vuln microbench repro examples loc clean help
 
 all: build test race soak
 
@@ -139,6 +139,18 @@ examples:
 	$(GO) run ./examples/retailshelf
 	$(GO) run ./examples/tracking
 
+# Non-test Go lines per package directory, then the total — the line
+# count ROADMAP.md tracks like a benchmark axis. Counts every line of
+# every non-test .go file (perfbench and examples included; the
+# benchmark's build directory excluded).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort | \
+	awk '{ d = $$0; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); \
+	       n = 0; while ((getline line < $$0) > 0) n++; close($$0); \
+	       loc[d] += n; total += n } \
+	     END { for (d in loc) printf "%6d  %s\n", loc[d], d | "sort -k2"; close("sort -k2"); \
+	           printf "%6d  total\n", total }'
+
 # Committed BENCH_*.json baselines are history, not build products —
 # clean only removes derived files.
 clean:
@@ -161,3 +173,4 @@ help:
 	@echo "make microbench - all go-test benchmarks (one per paper table/figure)"
 	@echo "make repro    - regenerate the paper's evaluation (repro-quick: reduced trials)"
 	@echo "make examples - run every example program"
+	@echo "make loc      - non-test Go lines per package and in total"

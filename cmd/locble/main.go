@@ -53,7 +53,6 @@ func main() {
 		routerF  = flag.String("router", "", "multi-node routing demo: a node count (loopback cluster, e.g. 3) or comma-separated fleet server addresses")
 		drainF   = flag.String("drain", "", "with -router addresses: drain this node mid-run (loopback mode picks one automatically)")
 		serveF   = flag.Int("serve", -1, "run a standalone fleet server on this port (0 = ephemeral) until interrupted")
-		codecF   = flag.String("codec", "", "wire codec for -serve/-router: json|binary (default: negotiate binary, fall back to json)")
 		clusterF = flag.Bool("cluster", false, "place neighbour beacons and calibrate")
 		metricsF = flag.Bool("metrics", false, "print the pipeline metrics snapshot as JSON after the run")
 		pprofF   = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. 127.0.0.1:6060)")
@@ -68,14 +67,14 @@ func main() {
 		return
 	}
 	if *serveF >= 0 {
-		if err := runServe(*serveF, *storeF, *codecF); err != nil {
+		if err := runServe(*serveF, *storeF); err != nil {
 			fmt.Fprintln(os.Stderr, "locble:", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *routerF != "" {
-		if err := runRouter(*routerF, *fleetN, *storeF, *drainF, *codecF, *metricsF, *verbose); err != nil {
+		if err := runRouter(*routerF, *fleetN, *storeF, *drainF, *metricsF, *verbose); err != nil {
 			fmt.Fprintln(os.Stderr, "locble:", err)
 			os.Exit(1)
 		}

@@ -132,17 +132,17 @@ func TestRunFleetDurableStore(t *testing.T) {
 // loopback cluster over a shared durable store, with the mid-run drain
 // and handoff.
 func TestRunRouterLoopback(t *testing.T) {
-	if err := runRouter("3", 6, t.TempDir(), "", "", true, false); err != nil {
+	if err := runRouter("3", 6, t.TempDir(), "", true, false); err != nil {
 		t.Fatalf("runRouter: %v", err)
 	}
 }
 
 // TestRunRouterBadSpec: degenerate cluster specs are reported, not run.
 func TestRunRouterBadSpec(t *testing.T) {
-	if err := runRouter("1", 4, "", "", "", false, false); err == nil {
+	if err := runRouter("1", 4, "", "", false, false); err == nil {
 		t.Error("want error for a 1-node cluster")
 	}
-	if err := runRouter("a:1,a:1", 4, "", "", "", false, false); err == nil {
+	if err := runRouter("a:1,a:1", 4, "", "", false, false); err == nil {
 		t.Error("want error for duplicate addresses")
 	}
 }

@@ -14,32 +14,12 @@ import (
 	"locble/internal/netproto"
 )
 
-// parseCodec maps the -codec flag to a netproto codec name: "" keeps
-// the default (negotiate binary, fall back to JSON).
-func parseCodec(codec string) (string, error) {
-	switch codec {
-	case "":
-		return "", nil
-	case "json":
-		return netproto.CodecJSON, nil
-	case "binary", netproto.CodecBinary:
-		return netproto.CodecBinary, nil
-	default:
-		return "", fmt.Errorf("-codec %q: want json or binary", codec)
-	}
-}
-
 // runServe runs one standalone netproto fleet server — a node for
 // -router to fan out over — until interrupted. With storeDir set, its
 // sessions checkpoint into a durable store; point every node of a
 // cluster at a shared directory and router drains hand sessions off
-// bit-exactly. -codec json pins the node to plain JSON (it refuses
-// binary hellos like a pre-codec release, so clients fall back).
-func runServe(port int, storeDir, codec string) error {
-	codec, err := parseCodec(codec)
-	if err != nil {
-		return err
-	}
+// bit-exactly.
+func runServe(port int, storeDir string) error {
 	sys, err := locble.New()
 	if err != nil {
 		return err
@@ -64,8 +44,7 @@ func runServe(port int, storeDir, codec string) error {
 	if err != nil {
 		return err
 	}
-	srv, err := netproto.NewServerWithConfig("fleet-node", port,
-		netproto.ServerConfig{DisableBinary: codec == netproto.CodecJSON})
+	srv, err := netproto.NewServer("fleet-node", port)
 	if err != nil {
 		fl.Close()
 		return err
@@ -74,11 +53,8 @@ func runServe(port int, storeDir, codec string) error {
 	defer fl.Close() // checkpoints live sessions into the store
 	defer srv.Close()
 
-	wire := "json+locb1"
-	if codec == netproto.CodecJSON {
-		wire = "json only"
-	}
-	fmt.Printf("fleet server on %s (ops: fetch, push, drain, metrics; codecs: %s) — ctrl-C to stop\n", srv.Addr(), wire)
+	fmt.Printf("fleet server on %s (ops: fetch, drain, metrics; push and subscribe after a %s hello) — ctrl-C to stop\n",
+		srv.Addr(), netproto.CodecBinary)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	<-ctx.Done()
@@ -93,13 +69,8 @@ func runServe(port int, storeDir, codec string) error {
 // ring; halfway through, one node is drained — in loopback mode the
 // node serving tag-00, in address mode the -drain address if given —
 // and its beacons hand off to the survivors, restoring bit-exactly from
-// the shared store. -codec pins the wire codec used toward the nodes
-// (default: negotiate binary per node, fall back to JSON).
-func runRouter(spec string, beacons int, storeDir, drainAddr, codec string, metricsF, verbose bool) error {
-	codec, err := parseCodec(codec)
-	if err != nil {
-		return err
-	}
+// the shared store.
+func runRouter(spec string, beacons int, storeDir, drainAddr string, metricsF, verbose bool) error {
 	if beacons < 2 {
 		beacons = 2
 	}
@@ -158,7 +129,7 @@ func runRouter(spec string, beacons int, storeDir, drainAddr, codec string, metr
 		fmt.Printf("router: %d external nodes: %s\n", len(addrs), strings.Join(addrs, ", "))
 	}
 
-	rt, err := locble.NewRouter(addrs, locble.RouterConfig{Codec: codec})
+	rt, err := locble.NewRouter(addrs, locble.RouterConfig{})
 	if err != nil {
 		return err
 	}

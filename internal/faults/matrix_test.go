@@ -208,7 +208,7 @@ func TestFaultMatrixStream(t *testing.T) {
 		t.Fatal("injectors consumed the whole stream")
 	}
 
-	srv, err := netproto.NewStreamServer("tgt", 0)
+	srv, err := netproto.NewServer("tgt", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

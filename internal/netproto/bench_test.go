@@ -27,8 +27,15 @@ func benchObs() []PushObs {
 	return obs
 }
 
+// jsonPushReq is a push request as a JSON document — the encoding the
+// JSON benchmarks price against locb1.
+type jsonPushReq struct {
+	Op  string    `json:"op"`
+	Obs []PushObs `json:"obs"`
+}
+
 func BenchmarkWireEncodeJSON(b *testing.B) {
-	req := wireReq{Op: "push", Obs: benchObs()}
+	req := jsonPushReq{Op: "push", Obs: benchObs()}
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, &req); err != nil {
 		b.Fatal(err)
@@ -56,14 +63,14 @@ func BenchmarkWireEncodeBinary(b *testing.B) {
 }
 
 func BenchmarkWireDecodeJSON(b *testing.B) {
-	req := wireReq{Op: "push", Obs: benchObs()}
+	req := jsonPushReq{Op: "push", Obs: benchObs()}
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, &req); err != nil {
 		b.Fatal(err)
 	}
 	frame := buf.Bytes()
 	rd := bytes.NewReader(frame)
-	var dec wireReq
+	var dec jsonPushReq
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	b.ResetTimer()

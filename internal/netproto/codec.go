@@ -1,45 +1,42 @@
 // Wire codecs. Every frame on the wire is a 4-byte big-endian length
-// prefix plus a body; what the body holds is a per-connection property
-// negotiated by the first frame:
+// prefix plus a body; what the body holds depends on the connection:
 //
-//   - CodecJSON ("json"): the body is one JSON document. This is the
-//     seed protocol and the default — a connection that never sends a
-//     hello frame is a JSON connection, so old clients and servers
-//     interoperate untouched.
-//   - CodecBinary ("locb1"): the body is one tag byte followed by a
-//     fixed little-endian payload — raw float64 bits, uvarint lengths,
-//     and per-frame interning of repeated beacon IDs. Negotiated by a
-//     first-frame {"op":"hello","codec":"locb1"} (always JSON, so any
-//     server can at least read it); servers that don't speak it answer
-//     with an error frame and the client falls back to JSON.
+//   - Until a hello, the body is one JSON document. The cold ops —
+//     fetch (the paper's trace exchange), metrics and drain — work on
+//     such a connection.
+//   - After a first-frame {"op":"hello","codec":"locb1"} (itself JSON)
+//     and the server's JSON ack, the connection speaks CodecBinary
+//     ("locb1"): the body is one tag byte followed by a fixed
+//     little-endian payload — raw float64 bits, uvarint lengths, and
+//     per-frame interning of repeated beacon IDs. The hot frames (push
+//     requests and results, stream batches) exist only in this form;
+//     push and subscribe on a connection that never said hello are
+//     refused with an error frame naming locb1.
 //
-// Both codecs share the pooled frame buffers below: a frame is built
-// (or read) into a reusable buffer with the length header prepended, so
-// the hot paths do one conn.Write per frame and zero per-frame
-// allocations.
+// Both forms share the pooled frame buffers below: a frame is built (or
+// read) into a reusable buffer with the length header prepended, so the
+// hot paths do one conn.Write per frame and zero per-frame allocations.
 package netproto
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"sync"
+	"time"
 )
 
-// Codec names, as they appear in hello frames and CLI flags.
-const (
-	// CodecJSON is the seed length-prefixed JSON protocol.
-	CodecJSON = "json"
-	// CodecBinary is the versioned binary codec. The "1" is the wire
-	// version: an incompatible layout change ships as locb2, and a
-	// server that only knows locb1 rejects it into a JSON fallback
-	// instead of misparsing frames.
-	CodecBinary = "locb1"
-)
+// CodecBinary names the binary codec in hello frames. The "1" is the
+// wire version: an incompatible layout change ships as locb2, and a
+// server that only knows locb1 refuses its hello instead of misparsing
+// frames.
+const CodecBinary = "locb1"
 
 // errBinMalformed reports a binary frame whose payload does not decode:
 // truncated, over-long, an out-of-range intern reference, or trailing
@@ -50,8 +47,8 @@ var errBinMalformed = errors.New("netproto: malformed binary frame")
 // Binary frame tags (the first body byte of a CodecBinary frame).
 const (
 	// bfJSON wraps an arbitrary JSON document — the escape hatch that
-	// lets cold ops (hello acks, metrics, drain, fetch, subscribe) ride
-	// a binary connection without a bespoke encoding.
+	// lets cold ops (drain, subscribe, metrics, fetch) ride a locb1
+	// connection without a bespoke encoding.
 	bfJSON = 0x00
 	// bfPushReq is a push request: an observation batch with interned
 	// beacon IDs.
@@ -525,23 +522,58 @@ func decodeStreamBatch(body []byte, out *StreamBatch) error {
 	return r.done()
 }
 
-// --- per-connection codec-aware I/O (server side) ---
+// --- per-connection I/O ---
 
-// helloAck is the server's answer to an accepted hello frame (always
-// JSON — the codec switches after the ack).
+// helloAck is the server's answer to an accepted hello frame (JSON —
+// the connection switches to locb1 after the ack).
 type helloAck struct {
 	Codec string `json:"codec"`
 }
 
-// wireReq is one decoded inbound request frame, whatever codec carried
-// it. Binary push frames decode straight into the reusable Obs scratch;
-// everything else (hello, fetch, drain, metrics, subscribe) arrives as
-// JSON — plain or bfJSON-wrapped.
+// hello opens locb1 on a fresh client connection: it sends the JSON
+// hello frame and reads the server's JSON ack. A shed connection
+// reports resilience.ErrOverloaded; any other answer is a refusal.
+// Deadlines are left set; the caller owns the connection afterwards.
+func hello(ctx context.Context, conn net.Conn, br *bufio.Reader) error {
+	dl := time.Now().Add(FrameTimeout)
+	if cdl, ok := ctx.Deadline(); ok && cdl.Before(dl) {
+		dl = cdl
+	}
+	conn.SetWriteDeadline(dl)
+	req := struct {
+		Op    string `json:"op"`
+		Codec string `json:"codec"`
+	}{Op: "hello", Codec: CodecBinary}
+	if err := WriteFrame(conn, &req); err != nil {
+		return err
+	}
+	conn.SetReadDeadline(dl)
+	var ack struct {
+		Codec string `json:"codec"`
+		Err   string `json:"error"`
+	}
+	if err := ReadFrame(br, &ack); err != nil {
+		return err
+	}
+	switch {
+	case ack.Codec == CodecBinary:
+		return nil
+	case ack.Err != "":
+		return exchangeError("hello", ack.Err)
+	default:
+		return fmt.Errorf("netproto: hello: server answered codec %q, want %s", ack.Codec, CodecBinary)
+	}
+}
+
+// wireReq is one decoded inbound request frame. Binary push frames
+// decode straight into the reusable Obs scratch; everything else
+// (hello, fetch, drain, metrics, subscribe) arrives as JSON — plain or
+// bfJSON-wrapped — and never carries observations.
 type wireReq struct {
 	Op    string    `json:"op"`
 	Codec string    `json:"codec"`
 	From  int       `json:"from"`
-	Obs   []PushObs `json:"obs"`
+	Obs   []PushObs `json:"-"`
 }
 
 // connReader reads request frames for one server connection, holding
@@ -554,7 +586,7 @@ type connReader struct {
 }
 
 func (r *connReader) read(binary bool, req *wireReq) error {
-	// Unmarshal merges into existing fields; a stale batch must not
+	// Unmarshal merges into existing fields; a stale request must not
 	// leak into a frame that omits them.
 	req.Op, req.Codec, req.From, req.Obs = "", "", 0, nil
 	if !binary {
@@ -586,43 +618,51 @@ func (r *connReader) read(binary bool, req *wireReq) error {
 	return nil
 }
 
-// negotiateHello answers one server-side hello frame and, on an
-// accepted binary codec, flips the writer for all subsequent frames.
-// The ack itself is always JSON — the requesting side is still reading
-// JSON until it sees the answer. Returns false when the connection
-// should close. Callers have already set the write deadline.
-func negotiateHello(w *wireWriter, codec string, disabled bool) bool {
-	if disabled {
-		// Byte-identical to a pre-codec server's answer to a hello, so
-		// negotiating clients take the same JSON fallback path they
-		// would against an old deployment.
-		WriteFrame(w.w, map[string]string{"error": "unknown op"})
-		return false
-	}
-	switch codec {
-	case CodecBinary, "binary":
-		if err := WriteFrame(w.w, helloAck{Codec: CodecBinary}); err != nil {
-			return false
-		}
-		w.binary = true
-		metCodecBinary.Inc()
-	case "", CodecJSON:
-		if err := WriteFrame(w.w, helloAck{Codec: CodecJSON}); err != nil {
-			return false
-		}
-		metCodecJSON.Inc()
-	default:
+// negotiateHello answers one server-side hello frame and, when it offers
+// locb1, flips the writer for all subsequent frames. The ack itself is
+// JSON — the requesting side is still reading JSON until it sees the
+// answer. Returns false when the connection should close. Callers have
+// already set the write deadline.
+func negotiateHello(w *wireWriter, codec string) bool {
+	if codec != CodecBinary {
 		metCodecRejected.Inc()
 		WriteFrame(w.w, map[string]string{"error": "unsupported codec " + codec})
 		return false
 	}
+	if err := WriteFrame(w.w, helloAck{Codec: CodecBinary}); err != nil {
+		return false
+	}
+	w.binary = true
+	metCodecBinary.Inc()
 	return true
 }
 
-// wireWriter writes response frames for one connection in its
-// negotiated codec. In JSON mode every write is byte-identical to the
-// pre-codec protocol; in binary mode the hot frame types use their
-// bespoke encodings and everything else rides a bfJSON wrapper.
+// writeBinJSON writes v as one bfJSON-wrapped locb1 frame built in fb.
+func writeBinJSON(w io.Writer, fb *frameBuf, v any) error {
+	fb.beginFrame()
+	fb.b = append(fb.b, bfJSON)
+	if err := fb.encodeJSONBody(v); err != nil {
+		return err
+	}
+	return flushFrame(w, fb.b)
+}
+
+// decodeError decodes a bfError frame body (tag byte included) into the
+// exchange error it carries, accounting the frame once it decodes.
+func decodeError(op string, body []byte) error {
+	r := binReader{b: body[1:]}
+	msg := r.str()
+	if err := r.done(); err != nil {
+		return err
+	}
+	accountFrameIn(len(body))
+	return exchangeError(op, msg)
+}
+
+// wireWriter writes response frames for one server connection: JSON
+// until a hello switches it to locb1, where the hot frame types use
+// their bespoke encodings and everything else rides a bfJSON wrapper.
+// The hot writers are only reached on a locb1 connection.
 type wireWriter struct {
 	w      io.Writer
 	binary bool
@@ -634,12 +674,7 @@ func (w *wireWriter) writeJSONy(v any) error {
 	if !w.binary {
 		return WriteFrame(w.w, v)
 	}
-	w.fb.beginFrame()
-	w.fb.b = append(w.fb.b, bfJSON)
-	if err := w.fb.encodeJSONBody(v); err != nil {
-		return err
-	}
-	return flushFrame(w.w, w.fb.b)
+	return writeBinJSON(w.w, w.fb, v)
 }
 
 // writeError writes a typed exchange-level error frame.
@@ -653,27 +688,18 @@ func (w *wireWriter) writeError(msg string) error {
 }
 
 func (w *wireWriter) writePushResult(r *PushResult) error {
-	if !w.binary {
-		return WriteFrame(w.w, r)
-	}
 	w.fb.beginFrame()
 	w.fb.b = appendPushResult(w.fb.b, r)
 	return flushFrame(w.w, w.fb.b)
 }
 
 func (w *wireWriter) writePushDone(beacons int) error {
-	if !w.binary {
-		return WriteFrame(w.w, pushDone{Done: true, Beacons: beacons})
-	}
 	w.fb.beginFrame()
 	w.fb.b = appendPushDone(w.fb.b, beacons)
 	return flushFrame(w.w, w.fb.b)
 }
 
 func (w *wireWriter) writeStreamBatch(b *StreamBatch) error {
-	if !w.binary {
-		return WriteFrame(w.w, b)
-	}
 	w.fb.beginFrame()
 	w.fb.b = appendStreamBatch(w.fb.b, b)
 	return flushFrame(w.w, w.fb.b)

@@ -96,71 +96,61 @@ func pushStream(t *testing.T, ctx context.Context, cl *FleetClient, stream []fle
 	return fixes
 }
 
-// TestCodecNegotiationMatrix covers every pairing of client codec
-// request and server capability: who lands on which codec, and that the
-// exchange works (or fails loudly) afterwards.
+// TestCodecNegotiationMatrix covers each hot op against whether the
+// connection opened with the locb1 hello: with it, a push lands; without
+// it, push and subscribe are refused with an error frame naming locb1
+// and the connection is closed.
 func TestCodecNegotiationMatrix(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	t.Run("default-client/default-server-lands-binary", func(t *testing.T) {
 		srv, _ := newPushServer(t, ServerConfig{})
+		before := metCodecBinary.Value()
 		cl, err := DialFleet(ctx, srv.Addr())
 		if err != nil {
 			t.Fatalf("DialFleet: %v", err)
 		}
 		defer cl.Close()
-		if got := cl.Codec(); got != CodecBinary {
-			t.Fatalf("Codec() = %q, want %q", got, CodecBinary)
-		}
 		if _, err := cl.Push(ctx, toWire(fleet.SynthStream("m-bin", 8, 0))); err != nil {
 			t.Fatalf("binary Push: %v", err)
 		}
-	})
-
-	t.Run("json-pinned-client-sends-no-hello", func(t *testing.T) {
-		srv, _ := newPushServer(t, ServerConfig{})
-		cl, err := DialFleetWith(ctx, srv.Addr(), FleetDialConfig{Codec: CodecJSON})
-		if err != nil {
-			t.Fatalf("DialFleetWith: %v", err)
-		}
-		defer cl.Close()
-		if got := cl.Codec(); got != CodecJSON {
-			t.Fatalf("Codec() = %q, want %q", got, CodecJSON)
-		}
-		if _, err := cl.Push(ctx, toWire(fleet.SynthStream("m-json", 8, 0))); err != nil {
-			t.Fatalf("json Push: %v", err)
+		if got := metCodecBinary.Value() - before; got != 1 {
+			t.Fatalf("codec.binary delta = %d, want 1 accepted hello", got)
 		}
 	})
 
-	t.Run("new-client/old-server-falls-back-to-json", func(t *testing.T) {
-		// DisableBinary answers the hello byte-identically to a pre-codec
-		// server, so this is the new-vs-old interop path.
-		srv, _ := newPushServer(t, ServerConfig{DisableBinary: true})
-		cl, err := DialFleet(ctx, srv.Addr())
-		if err != nil {
-			t.Fatalf("DialFleet against old server: %v", err)
-		}
-		defer cl.Close()
-		if got := cl.Codec(); got != CodecJSON {
-			t.Fatalf("Codec() = %q, want %q fallback", got, CodecJSON)
-		}
-		if _, err := cl.Push(ctx, toWire(fleet.SynthStream("m-fall", 8, 0))); err != nil {
-			t.Fatalf("fallback Push: %v", err)
-		}
-	})
-
-	t.Run("binary-required/old-server-fails-dial", func(t *testing.T) {
-		srv, _ := newPushServer(t, ServerConfig{DisableBinary: true})
-		cl, err := DialFleetWith(ctx, srv.Addr(), FleetDialConfig{Codec: CodecBinary})
-		if err == nil {
-			cl.Close()
-			t.Fatal("dial with required binary against an old server succeeded")
-		}
-		if !strings.Contains(err.Error(), CodecBinary) {
-			t.Fatalf("dial error %q does not name the refused codec", err)
-		}
-	})
+	for op, req := range map[string]any{
+		"push":      map[string]any{"op": "push", "obs": toWire(fleet.SynthStream("m-json", 8, 0))},
+		"subscribe": subscribeReq{Op: "subscribe"},
+	} {
+		t.Run("json-"+op+"-refused", func(t *testing.T) {
+			srv, _ := newPushServer(t, ServerConfig{})
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if err := WriteFrame(conn, req); err != nil {
+				t.Fatalf("write %s: %v", op, err)
+			}
+			var resp struct {
+				Err string `json:"error"`
+			}
+			br := newReader(conn)
+			if err := ReadFrame(br, &resp); err != nil {
+				t.Fatalf("read answer: %v", err)
+			}
+			if !strings.Contains(resp.Err, CodecBinary) {
+				t.Fatalf("answer %+v, want an error naming %s", resp, CodecBinary)
+			}
+			var after json.RawMessage
+			if err := ReadFrame(br, &after); err == nil {
+				t.Fatalf("connection still open after a JSON %s: read %s", op, after)
+			}
+		})
+	}
 }
 
 // TestHelloUnknownCodecRejected: a hello offering a codec the server
@@ -270,22 +260,19 @@ func TestFramesAreSingleWrite(t *testing.T) {
 	}
 }
 
-// TestJSONModeBytesUnchanged: a JSON-pinned client's request frames are
-// byte-identical to the pre-codec client's — the pooled encoder path
-// changed the allocation profile, not the wire.
+// TestJSONModeBytesUnchanged: a plain JSON frame — the fetch reply of
+// the trace exchange here — is byte-identical to the seed encoding; the
+// pooled encoder path changed the allocation profile, not the wire.
 func TestJSONModeBytesUnchanged(t *testing.T) {
-	req := struct {
-		Op  string    `json:"op"`
-		Obs []PushObs `json:"obs"`
-	}{Op: "push", Obs: toWire(fleet.SynthStream("bytes", 4, 0))}
+	req := testBundle()
 
 	var pooled countingWriter
-	if err := WriteFrame(&pooled, &req); err != nil {
+	if err := WriteFrame(&pooled, req); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
 
 	// The seed implementation: marshal, then prepend the length header.
-	body, err := json.Marshal(&req)
+	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
@@ -296,9 +283,9 @@ func TestJSONModeBytesUnchanged(t *testing.T) {
 }
 
 // TestBinaryPushBitIdentical is the codec's load-bearing contract: the
-// same observation stream pushed through a binary-negotiated client, a
-// JSON-negotiated client, and a local replay produces bit-identical
-// fixes. Run under -race it also exercises the pipelined reader.
+// same observation stream pushed through a locb1 client and replayed
+// locally produces bit-identical fixes. Run under -race it also
+// exercises the pipelined reader.
 func TestBinaryPushBitIdentical(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -310,16 +297,13 @@ func TestBinaryPushBitIdentical(t *testing.T) {
 		t.Fatal("local replay produced no fixes; the comparison is vacuous")
 	}
 
-	for _, codec := range []string{CodecBinary, CodecJSON} {
-		srv, _ := newPushServer(t, ServerConfig{})
-		cl, err := DialFleetWith(ctx, srv.Addr(), FleetDialConfig{Codec: codec})
-		if err != nil {
-			t.Fatalf("dial %s: %v", codec, err)
-		}
-		got := pushStream(t, ctx, cl, stream, slice)
-		cl.Close()
-		requireBitIdentical(t, codec, got, want)
+	srv, _ := newPushServer(t, ServerConfig{})
+	cl, err := DialFleet(ctx, srv.Addr())
+	if err != nil {
+		t.Fatalf("DialFleet: %v", err)
 	}
+	defer cl.Close()
+	requireBitIdentical(t, CodecBinary, pushStream(t, ctx, cl, stream, slice), want)
 }
 
 // TestBinaryPushConcurrentBitIdentical: many goroutines pipelining
@@ -336,9 +320,6 @@ func TestBinaryPushConcurrentBitIdentical(t *testing.T) {
 		t.Fatalf("DialFleet: %v", err)
 	}
 	defer cl.Close()
-	if cl.Codec() != CodecBinary {
-		t.Fatalf("Codec() = %q, want binary", cl.Codec())
-	}
 
 	const pushers, n, slice = 6, 120, 24
 	streams := make([][]fleet.Obs, pushers)
@@ -605,13 +586,23 @@ func TestFleetClientCloseWithInflight(t *testing.T) {
 	}
 }
 
-// TestStreamCodecNegotiation: the stream path negotiates too — binary
-// by default, JSON when pinned, JSON fallback against an old server —
-// and every mode delivers identical batches.
+// TestStreamCodecNegotiation: a subscriber opens locb1 with the same
+// hello as a push client and receives every batch intact — payloads,
+// channel numbers and the final flag.
 func TestStreamCodecNegotiation(t *testing.T) {
-	publish := func(t *testing.T, srv *StreamServer) {
-		t.Helper()
-		time.Sleep(50 * time.Millisecond) // let the subscriber register
+	t.Run("binary-negotiated", func(t *testing.T) {
+		srv, err := NewServer("tgt", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		ch, err := Subscribe(ctx, srv.Addr())
+		if err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		waitSubscribers(t, srv, 1)
 		for i := 0; i < 3; i++ {
 			err := srv.Publish(
 				[]TimedRSS{{T: float64(i), RSS: -70 - float64(i), Chan: 37 + i}},
@@ -622,9 +613,6 @@ func TestStreamCodecNegotiation(t *testing.T) {
 				t.Fatalf("Publish %d: %v", i, err)
 			}
 		}
-	}
-	check := func(t *testing.T, ch <-chan StreamBatch) {
-		t.Helper()
 		var got []StreamBatch
 		for b := range ch {
 			got = append(got, b)
@@ -646,42 +634,7 @@ func TestStreamCodecNegotiation(t *testing.T) {
 		if !got[2].Final {
 			t.Fatal("last batch should be final")
 		}
-	}
-
-	cases := []struct {
-		name    string
-		srvCfg  ServerConfig
-		codec   string
-		wantErr bool
-	}{
-		{name: "binary-negotiated", srvCfg: ServerConfig{}, codec: ""},
-		{name: "json-pinned", srvCfg: ServerConfig{}, codec: CodecJSON},
-		{name: "old-server-fallback", srvCfg: ServerConfig{DisableBinary: true}, codec: ""},
-		{name: "binary-required-refused", srvCfg: ServerConfig{DisableBinary: true}, codec: CodecBinary, wantErr: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			srv, err := NewStreamServerWithConfig("tgt", 0, tc.srvCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			ch, err := SubscribeCodec(ctx, srv.Addr(), tc.codec)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatal("subscribe succeeded, want refusal")
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("SubscribeCodec: %v", err)
-			}
-			publish(t, srv)
-			check(t, ch)
-		})
-	}
+	})
 }
 
 // TestBinaryRoundTripUnits: encode/decode round trips for each bespoke

@@ -1,6 +1,6 @@
 // Fleet serving over the trace-exchange port: a server with an attached
-// fleet.Fleet accepts push frames carrying a mixed observation batch
-// and streams one result frame per beacon back (fixes, lifecycle
+// fleet.Fleet accepts locb1 push frames carrying a mixed observation
+// batch and streams one result frame per beacon back (fixes, lifecycle
 // flags, per-beacon errors), terminated by a done frame. The exchange
 // rides the same connection lifecycle as every other op — admission
 // capping and token-bucket shedding, per-frame deadlines, the stalled-
@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -88,8 +87,8 @@ func (s *Server) SetFleet(f *fleet.Fleet) {
 }
 
 // handlePush runs one push exchange: scrub the wire batch, hand it to
-// the fleet, stream the per-beacon results in the connection's codec.
-// Returns false when the connection should close.
+// the fleet, stream the per-beacon results back. Returns false when the
+// connection should close.
 func (s *Server) handlePush(conn net.Conn, w *wireWriter, wire []PushObs) bool {
 	s.mu.Lock()
 	f := s.fleet
@@ -98,12 +97,10 @@ func (s *Server) handlePush(conn net.Conn, w *wireWriter, wire []PushObs) bool {
 		w.writeError("no fleet attached")
 		return false
 	}
-	// Same boundary rule as sanitizeRSS: non-finite fields cannot have
-	// crossed JSON honestly, so the poisoned entries are dropped here
-	// rather than fed to the sessions. (The binary codec could carry
-	// them, but the scrub is codec-independent so both codecs feed the
-	// sessions identical batches.) Unnamed observations have no session
-	// to land on.
+	// Same boundary rule as sanitizeRSS: locb1 carries raw float bits,
+	// so a client can send NaN/Inf, and the poisoned entries are dropped
+	// here rather than fed to the sessions. Unnamed observations have no
+	// session to land on.
 	batch := make([]fleet.Obs, 0, len(wire))
 	for _, o := range wire {
 		if o.Beacon == "" || !isFinite(o.T) || !isFinite(o.RSS) || !isFinite(o.P) || !isFinite(o.Q) {
@@ -184,18 +181,18 @@ const DefaultPushWindow = 4
 // ErrClientClosed is returned by exchanges on a closed FleetClient.
 var ErrClientClosed = errors.New("netproto: fleet client closed")
 
-// FleetDialConfig tunes DialFleetWith. The zero value negotiates the
-// binary codec (falling back to JSON against servers that don't speak
-// it) with the default pipelining window.
+// ErrPeerClosed is returned by exchanges on a FleetClient whose server
+// closed the connection while no exchange was pending — servers drop
+// connections that stay idle past FrameTimeout. Nothing of the failed
+// exchange was written, so it is safe to resend on a fresh connection.
+var ErrPeerClosed = errors.New("netproto: server closed the idle connection")
+
+// errUnsolicited reports a frame that arrived with no exchange pending.
+var errUnsolicited = errors.New("netproto: unsolicited frame from server")
+
+// FleetDialConfig tunes DialFleetWith. The zero value takes the default
+// pipelining window.
 type FleetDialConfig struct {
-	// Codec selects the wire codec:
-	//   ""          — negotiate CodecBinary, fall back to JSON if the
-	//                 server refuses (the default);
-	//   CodecJSON   — plain JSON, no hello frame (byte-identical to a
-	//                 pre-codec client, for old servers or pinned fleets);
-	//   CodecBinary — require locb1; dialing fails if the server
-	//                 refuses it.
-	Codec string
 	// Window bounds pipelined in-flight exchanges (default
 	// DefaultPushWindow).
 	Window int
@@ -225,24 +222,17 @@ type fleetOutcome struct {
 	err     error
 }
 
-// FleetClient is a client for a server's batched-ingest op. It holds
-// one persistent connection and pipelines exchanges over it: Push and
-// PushAsync are safe for concurrent use, and up to Window exchanges
+// FleetClient is a locb1 client for a server's batched-ingest op. It
+// holds one persistent connection and pipelines exchanges over it: Push
+// and PushAsync are safe for concurrent use, and up to Window exchanges
 // overlap on the wire. A failed exchange poisons the pipeline (the
 // frame position is unknown); every pending and later call reports the
 // error, and the caller re-dials.
 type FleetClient struct {
-	conn   net.Conn
-	br     *bufio.Reader
-	binary bool
-	// shed is set when the server shed the connection during codec
-	// negotiation: dialing still succeeds and the first exchange
-	// surfaces resilience.ErrOverloaded, preserving the pre-codec
-	// behaviour where the shed frame answered the first push.
-	shed error
+	conn net.Conn
+	br   *bufio.Reader
 
 	sem        chan struct{} // pipelining window slots
-	wake       chan struct{} // cap 1: kicks the reader out of its idle wait
 	readerDone chan struct{}
 
 	wmu   sync.Mutex // serializes frame writes + pending appends
@@ -252,29 +242,15 @@ type FleetClient struct {
 	mu      sync.Mutex
 	pending []*fleetExchange
 	dead    error
-	started bool
 }
 
-func newFleetClient(conn net.Conn, window int) *FleetClient {
-	return &FleetClient{
-		conn:       conn,
-		br:         bufio.NewReader(conn),
-		sem:        make(chan struct{}, window),
-		wake:       make(chan struct{}, 1),
-		readerDone: make(chan struct{}),
-		wfb:        newFrameBuf(),
-	}
-}
-
-// DialFleet connects to a server's TCP trace-exchange address for
-// batched tracking ingest, negotiating the binary codec and falling
-// back to JSON transparently against servers that don't speak it.
+// DialFleet connects to a server's TCP address for batched tracking
+// ingest and opens locb1 on the connection.
 func DialFleet(ctx context.Context, addr string) (*FleetClient, error) {
 	return DialFleetWith(ctx, addr, FleetDialConfig{})
 }
 
-// DialFleetWith is DialFleet with explicit codec and pipelining
-// control.
+// DialFleetWith is DialFleet with explicit pipelining control.
 func DialFleetWith(ctx context.Context, addr string, cfg FleetDialConfig) (*FleetClient, error) {
 	cfg = cfg.withDefaults()
 	d := net.Dialer{}
@@ -282,113 +258,38 @@ func DialFleetWith(ctx context.Context, addr string, cfg FleetDialConfig) (*Flee
 	if err != nil {
 		return nil, err
 	}
-	c := newFleetClient(conn, cfg.Window)
-	if cfg.Codec == CodecJSON {
-		return c, nil // pre-codec client behaviour: no hello frame
+	c := &FleetClient{
+		conn:       conn,
+		br:         bufio.NewReader(conn),
+		sem:        make(chan struct{}, cfg.Window),
+		readerDone: make(chan struct{}),
+		wfb:        newFrameBuf(),
 	}
-	verdict, err := c.negotiate(ctx)
-	switch {
+	switch err := hello(ctx, conn, c.br); {
+	case errors.Is(err, resilience.ErrOverloaded):
+		// Shed at admission: the dial still succeeds and the first
+		// exchange reports the overload, as it would had the shed frame
+		// answered a push.
+		c.dead = fmt.Errorf("netproto: %s: %w", addr, err)
 	case err != nil:
 		conn.Close()
 		return nil, err
-	case verdict == negotiatedBinary:
-		c.binary = true
-		return c, nil
-	case verdict == negotiatedJSON:
-		return c, nil
-	case verdict == negotiatedShed:
-		c.shed = fmt.Errorf("netproto: %s: %w", addr, resilience.ErrOverloaded)
-		return c, nil
 	}
-	// Refused: an old server (or DisableBinary) answered the hello with
-	// an error and closed. Re-dial and speak plain JSON — old and new
-	// deployments interoperate at the cost of one extra round trip.
-	conn.Close()
-	if cfg.Codec == CodecBinary || cfg.Codec == "binary" {
-		return nil, fmt.Errorf("netproto: %s does not speak %s", addr, CodecBinary)
-	}
-	conn, err = d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	metCodecFallbacks.Inc()
-	return newFleetClient(conn, cfg.Window), nil
+	conn.SetReadDeadline(time.Time{})
+	go c.readLoop()
+	return c, nil
 }
 
-type negotiation int
-
-const (
-	negotiatedBinary negotiation = iota
-	negotiatedJSON
-	negotiatedShed
-	negotiatedRefused
-)
-
-// negotiate sends the hello frame and classifies the answer. The hello
-// and its ack are always JSON, so any server — old or new — can read
-// and answer it.
-func (c *FleetClient) negotiate(ctx context.Context) (negotiation, error) {
-	dl := time.Now().Add(FrameTimeout)
-	if cdl, ok := ctx.Deadline(); ok && cdl.Before(dl) {
-		dl = cdl
-	}
-	c.conn.SetWriteDeadline(dl)
-	hello := struct {
-		Op    string `json:"op"`
-		Codec string `json:"codec"`
-	}{Op: "hello", Codec: CodecBinary}
-	if err := WriteFrame(c.conn, &hello); err != nil {
-		return 0, err
-	}
-	c.conn.SetReadDeadline(dl)
-	var ack struct {
-		Codec string `json:"codec"`
-		Err   string `json:"error"`
-	}
-	if err := ReadFrame(c.br, &ack); err != nil {
-		// An old server may close on the unknown op without answering.
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return negotiatedRefused, nil
-		}
-		return 0, err
-	}
-	switch {
-	case ack.Codec == CodecBinary:
-		return negotiatedBinary, nil
-	case ack.Codec == CodecJSON:
-		return negotiatedJSON, nil
-	case ack.Err == "overloaded":
-		return negotiatedShed, nil
-	default:
-		return negotiatedRefused, nil
-	}
-}
-
-// Codec reports the negotiated wire codec (CodecBinary or CodecJSON).
-func (c *FleetClient) Codec() string {
-	if c.binary {
-		return CodecBinary
-	}
-	return CodecJSON
-}
-
-// Close closes the connection and waits for the reader goroutine (if
-// started) to deliver errors to any pending exchanges and exit.
+// Close closes the connection and waits for the reader goroutine to
+// deliver errors to any pending exchanges and exit.
 func (c *FleetClient) Close() error {
 	c.mu.Lock()
 	if c.dead == nil {
 		c.dead = ErrClientClosed
 	}
-	started := c.started
 	c.mu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
 	err := c.conn.Close()
-	if started {
-		<-c.readerDone
-	}
+	<-c.readerDone
 	return err
 }
 
@@ -399,8 +300,9 @@ func (c *FleetClient) failed() error {
 	return c.dead
 }
 
-// poison marks the client dead and unblocks the reader. The reader
-// owns failing the pending exchanges — it may be mid-frame on one.
+// poison marks the client dead and closes the connection, which fails
+// the reader's read. The reader owns failing the pending exchanges — it
+// may be mid-frame on one.
 func (c *FleetClient) poison(err error) {
 	c.mu.Lock()
 	if c.dead == nil {
@@ -408,45 +310,16 @@ func (c *FleetClient) poison(err error) {
 	}
 	c.mu.Unlock()
 	c.conn.Close()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
 }
 
-// scrubObs drops unnamed and non-finite observations at the wire
-// boundary (mirroring SetBundle): JSON cannot carry NaN/Inf, and the
-// binary codec applies the same rule so both codecs ship identical
-// batches.
-func scrubObs(obs []PushObs) []PushObs {
-	clean := true
-	for i := range obs {
-		o := &obs[i]
-		if o.Beacon == "" || !isFinite(o.T) || !isFinite(o.RSS) || !isFinite(o.P) || !isFinite(o.Q) {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		return obs
-	}
-	kept := make([]PushObs, 0, len(obs))
-	for _, o := range obs {
-		if o.Beacon != "" && isFinite(o.T) && isFinite(o.RSS) && isFinite(o.P) && isFinite(o.Q) {
-			kept = append(kept, o)
-		}
-	}
-	return kept
-}
-
-// enqueue acquires a pipeline slot, writes one request frame, and
-// registers the exchange with the reader. The write and the pending
-// append happen under one lock, so pending order always matches wire
-// order — the invariant FIFO response matching rests on.
+// enqueue acquires a pipeline slot, registers the exchange with the
+// reader, and writes one request frame. Registration and write happen
+// under one write lock, so pending order always matches wire order —
+// the invariant FIFO response matching rests on. Registering before
+// writing is what makes ErrPeerClosed safe to resend: the reader only
+// reports it when nothing was pending, so nothing of this exchange can
+// have been written.
 func (c *FleetClient) enqueue(ctx context.Context, kind int, write func() error) (*fleetExchange, error) {
-	if c.shed != nil {
-		return nil, c.shed
-	}
 	if err := c.failed(); err != nil {
 		return nil, err
 	}
@@ -457,68 +330,63 @@ func (c *FleetClient) enqueue(ctx context.Context, kind int, write func() error)
 	}
 	ex := &fleetExchange{kind: kind, done: make(chan fleetOutcome, 1)}
 	c.wmu.Lock()
-	err := c.failed()
-	wrote := false
-	if err == nil {
-		wrote = true
-		c.setWriteDeadline(ctx)
-		err = write()
-	}
-	if err == nil {
-		c.mu.Lock()
-		if c.dead != nil {
-			err, wrote = c.dead, false // teardown already in progress
-		} else {
-			c.pending = append(c.pending, ex)
-			if !c.started {
-				c.started = true
-				go c.readLoop()
-			}
-			select {
-			case c.wake <- struct{}{}:
-			default:
-			}
-		}
+	defer c.wmu.Unlock()
+	c.mu.Lock()
+	if err := c.dead; err != nil {
 		c.mu.Unlock()
-	}
-	c.wmu.Unlock()
-	if err != nil {
 		<-c.sem
-		if wrote {
-			// A failed (possibly half-written) frame leaves the wire
-			// position unknown: no later exchange can be trusted.
-			c.poison(err)
-		}
 		return nil, err
 	}
+	c.pending = append(c.pending, ex)
+	// The reader waits on an idle connection without a deadline; a
+	// pending exchange must answer within FrameTimeout.
+	c.conn.SetReadDeadline(time.Now().Add(FrameTimeout))
+	c.mu.Unlock()
 	metPipelineInflight.Add(1)
+	c.setWriteDeadline(ctx)
+	if err := write(); err != nil {
+		// A failed (possibly half-written) frame leaves the wire position
+		// unknown: no later exchange can be trusted. The reader fails
+		// this exchange along with the rest.
+		c.poison(err)
+		return nil, err
+	}
 	return ex, nil
 }
 
 // readLoop is the pipeline's single reader: it completes pending
 // exchanges in FIFO order and, on the first failure, delivers the
-// terminal error to everything still queued before exiting.
+// terminal error to everything still queued before exiting. Between
+// exchanges it blocks on the socket itself, so a server that closes the
+// idle connection is noticed at once (ErrPeerClosed) instead of by the
+// next exchange.
 func (c *FleetClient) readLoop() {
 	defer close(c.readerDone)
 	fb := newFrameBuf()
 	for {
+		_, err := c.br.Peek(1)
 		c.mu.Lock()
-		for len(c.pending) == 0 {
-			if c.dead != nil {
-				c.mu.Unlock()
-				return
+		if len(c.pending) == 0 {
+			switch {
+			case c.dead != nil: // closed or poisoned while idle
+			case err != nil:
+				c.dead = ErrPeerClosed
+			default:
+				c.dead = errUnsolicited
+				c.conn.Close()
 			}
 			c.mu.Unlock()
-			<-c.wake
-			c.mu.Lock()
+			return
 		}
 		ex := c.pending[0]
 		c.mu.Unlock()
 
-		var out fleetOutcome
-		if ex.kind == exDrain {
+		out := fleetOutcome{err: err}
+		switch {
+		case err != nil:
+		case ex.kind == exDrain:
 			out = c.readDrain(fb)
-		} else {
+		default:
 			out = c.readPush(fb)
 		}
 
@@ -534,6 +402,8 @@ func (c *FleetClient) readLoop() {
 		var rest []*fleetExchange
 		if dead != nil {
 			rest, c.pending = c.pending, nil
+		} else if len(c.pending) == 0 {
+			c.conn.SetReadDeadline(time.Time{}) // idle again
 		}
 		c.mu.Unlock()
 
@@ -561,29 +431,14 @@ func (c *FleetClient) setWriteDeadline(ctx context.Context) {
 
 // writePush writes one push request frame. Callers hold c.wmu.
 func (c *FleetClient) writePush(obs []PushObs) error {
-	if c.binary {
-		c.wfb.beginFrame()
-		c.wfb.b = appendPushReq(c.wfb.b, obs, &c.names)
-		return flushFrame(c.conn, c.wfb.b)
-	}
-	req := struct {
-		Op  string    `json:"op"`
-		Obs []PushObs `json:"obs"`
-	}{Op: "push", Obs: obs}
-	return WriteFrame(c.conn, &req)
+	c.wfb.beginFrame()
+	c.wfb.b = appendPushReq(c.wfb.b, obs, &c.names)
+	return flushFrame(c.conn, c.wfb.b)
 }
 
 // writeDrain writes one drain request frame. Callers hold c.wmu.
 func (c *FleetClient) writeDrain() error {
-	if c.binary {
-		c.wfb.beginFrame()
-		c.wfb.b = append(c.wfb.b, bfJSON)
-		if err := c.wfb.encodeJSONBody(map[string]string{"op": "drain"}); err != nil {
-			return err
-		}
-		return flushFrame(c.conn, c.wfb.b)
-	}
-	return WriteFrame(c.conn, map[string]string{"op": "drain"})
+	return writeBinJSON(c.conn, c.wfb, map[string]string{"op": "drain"})
 }
 
 // exchangeError types an exchange-level error frame; "overloaded" maps
@@ -603,76 +458,6 @@ func (c *FleetClient) readPush(fb *frameBuf) fleetOutcome {
 	var out []PushResult
 	for {
 		c.conn.SetReadDeadline(time.Now().Add(FrameTimeout))
-		if c.binary {
-			body, err := readFrameBody(c.br, fb)
-			if err != nil {
-				return fleetOutcome{err: err}
-			}
-			if len(body) == 0 {
-				return fleetOutcome{err: errBinMalformed}
-			}
-			switch body[0] {
-			case bfPushResult:
-				var r PushResult
-				if err := decodePushResult(body[1:], &r); err != nil {
-					return fleetOutcome{err: err}
-				}
-				accountFrameIn(len(body))
-				out = append(out, r)
-			case bfPushDone:
-				br := binReader{b: body[1:]}
-				beacons := br.intu()
-				if err := br.done(); err != nil {
-					return fleetOutcome{err: err}
-				}
-				accountFrameIn(len(body))
-				if len(out) != beacons {
-					return fleetOutcome{err: fmt.Errorf("netproto: push: stream truncated: got %d results, server sent %d", len(out), beacons)}
-				}
-				return fleetOutcome{results: out}
-			case bfError:
-				br := binReader{b: body[1:]}
-				msg := br.str()
-				if err := br.done(); err != nil {
-					return fleetOutcome{err: err}
-				}
-				accountFrameIn(len(body))
-				return fleetOutcome{err: exchangeError("push", msg)}
-			default:
-				return fleetOutcome{err: errBinMalformed}
-			}
-			continue
-		}
-		var resp struct {
-			PushResult
-			Done    bool `json:"done"`
-			Beacons int  `json:"beacons"`
-		}
-		if err := ReadFrame(c.br, &resp); err != nil {
-			return fleetOutcome{err: err}
-		}
-		if resp.Done {
-			if len(out) != resp.Beacons {
-				return fleetOutcome{err: fmt.Errorf("netproto: push: stream truncated: got %d results, server sent %d", len(out), resp.Beacons)}
-			}
-			return fleetOutcome{results: out}
-		}
-		if resp.Beacon == "" && resp.Err != "" {
-			// An exchange-level error frame, not a per-beacon result.
-			return fleetOutcome{err: exchangeError("push", resp.Err)}
-		}
-		out = append(out, resp.PushResult)
-	}
-}
-
-// readDrain consumes one drain response frame.
-func (c *FleetClient) readDrain(fb *frameBuf) fleetOutcome {
-	c.conn.SetReadDeadline(time.Now().Add(FrameTimeout))
-	var resp struct {
-		Drained int    `json:"drained"`
-		Err     string `json:"error"`
-	}
-	if c.binary {
 		body, err := readFrameBody(c.br, fb)
 		if err != nil {
 			return fleetOutcome{err: err}
@@ -681,29 +466,55 @@ func (c *FleetClient) readDrain(fb *frameBuf) fleetOutcome {
 			return fleetOutcome{err: errBinMalformed}
 		}
 		switch body[0] {
-		case bfJSON:
-			if err := json.Unmarshal(body[1:], &resp); err != nil {
-				return fleetOutcome{err: err}
-			}
-		case bfError:
-			r := binReader{b: body[1:]}
-			msg := r.str()
-			if err := r.done(); err != nil {
+		case bfPushResult:
+			var r PushResult
+			if err := decodePushResult(body[1:], &r); err != nil {
 				return fleetOutcome{err: err}
 			}
 			accountFrameIn(len(body))
-			return fleetOutcome{err: exchangeError("drain", msg)}
+			out = append(out, r)
+		case bfPushDone:
+			br := binReader{b: body[1:]}
+			beacons := br.intu()
+			if err := br.done(); err != nil {
+				return fleetOutcome{err: err}
+			}
+			accountFrameIn(len(body))
+			if len(out) != beacons {
+				return fleetOutcome{err: fmt.Errorf("netproto: push: stream truncated: got %d results, server sent %d", len(out), beacons)}
+			}
+			return fleetOutcome{results: out}
+		case bfError:
+			return fleetOutcome{err: decodeError("push", body)}
 		default:
 			return fleetOutcome{err: errBinMalformed}
 		}
-		accountFrameIn(len(body))
-	} else if err := ReadFrame(c.br, &resp); err != nil {
+	}
+}
+
+// readDrain consumes one drain response frame.
+func (c *FleetClient) readDrain(fb *frameBuf) fleetOutcome {
+	c.conn.SetReadDeadline(time.Now().Add(FrameTimeout))
+	body, err := readFrameBody(c.br, fb)
+	if err != nil {
 		return fleetOutcome{err: err}
 	}
-	if resp.Err != "" {
-		return fleetOutcome{err: exchangeError("drain", resp.Err)}
+	if len(body) == 0 {
+		return fleetOutcome{err: errBinMalformed}
 	}
-	return fleetOutcome{drained: resp.Drained}
+	switch body[0] {
+	case bfJSON:
+		var resp drainReply
+		if err := json.Unmarshal(body[1:], &resp); err != nil {
+			return fleetOutcome{err: err}
+		}
+		accountFrameIn(len(body))
+		return fleetOutcome{drained: resp.Drained}
+	case bfError:
+		return fleetOutcome{err: decodeError("drain", body)}
+	default:
+		return fleetOutcome{err: errBinMalformed}
+	}
 }
 
 // PushPending is one pipelined push in flight. Wait collects its
@@ -734,7 +545,6 @@ func (p *PushPending) Wait(ctx context.Context) ([]PushResult, error) {
 // results: it blocks only while the pipeline window is full. Safe for
 // concurrent use; responses match requests in send order.
 func (c *FleetClient) PushAsync(ctx context.Context, obs []PushObs) (*PushPending, error) {
-	obs = scrubObs(obs)
 	ex, err := c.enqueue(ctx, exPush, func() error { return c.writePush(obs) })
 	if err != nil {
 		return nil, err

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"locble/internal/fleet"
 	"locble/internal/resilience"
 	"locble/internal/testutil"
 )
@@ -32,119 +34,141 @@ func rawFetch(t *testing.T, conn net.Conn, br *bufio.Reader) TraceBundle {
 	return b
 }
 
-// TestServerRecoversHandlerPanic: a panic inside a connection handler
-// must close only that connection — the server keeps serving and the
-// process-wide panic counter records the recovery.
-func TestServerRecoversHandlerPanic(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	srv, err := NewServerWithConfig("tgt", 0, ServerConfig{Logf: quietLogf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.SetBundle(testBundle())
-
-	var calls atomic.Int32
-	srv.handlerHook = func(op string) {
-		if calls.Add(1) == 1 {
-			panic("poisoned frame")
+// waitSubscribers waits until srv has n live subscribers registered:
+// registration is asynchronous, and a batch published before it reaches
+// the subscriber through the history replay, not live.
+func waitSubscribers(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Subscribers() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d subscribers registered", srv.Subscribers(), n)
 		}
-	}
-
-	before := metPanicsRecovered.Value()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	// The first attempt dies on the panicking handler; the retry gets a
-	// healthy one.
-	b, err := FetchWithRetry(ctx, srv.Addr(), Retry{
-		MaxAttempts: 4, BaseDelay: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("Fetch after handler panic: %v", err)
-	}
-	if b.Device != "target-phone" {
-		t.Errorf("fetched %+v", b)
-	}
-	if got := metPanicsRecovered.Value() - before; got < 1 {
-		t.Errorf("panics.recovered delta = %d, want ≥1", got)
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestStreamServerRecoversHandlerPanic: same isolation for the stream
-// server's per-subscriber goroutine.
-func TestStreamServerRecoversHandlerPanic(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	srv, err := NewStreamServerWithConfig("tgt", 0, ServerConfig{Logf: quietLogf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	var calls atomic.Int32
-	srv.subscribeHook = func(subscribeReq) {
-		if calls.Add(1) == 1 {
-			panic("poisoned hello")
-		}
-	}
-	srv.Publish([]TimedRSS{{T: 1, RSS: -60}}, nil, true)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	// The first subscribe dies on the panic; Subscribe's reconnect gets
-	// a healthy handler and replays the session.
+// subscribeAll subscribes to srv and collects the whole stream.
+func subscribeAll(ctx context.Context, srv *Server) ([]StreamBatch, error) {
 	ch, err := Subscribe(ctx, srv.Addr())
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	var got []StreamBatch
 	for b := range ch {
 		got = append(got, b)
 	}
-	if len(got) != 1 || got[0].Seq != 1 {
-		t.Fatalf("batches after panic recovery = %+v, want the one published", got)
-	}
-	if calls.Load() < 2 {
-		t.Errorf("subscribe attempts = %d, want ≥2 (one panicked)", calls.Load())
+	return got, nil
+}
+
+// TestServerRecoversHandlerPanic: a panic inside a connection handler
+// must close only that connection — the server keeps serving, the
+// client's retry (Fetch's policy, Subscribe's reconnect) gets a healthy
+// handler, and the process-wide panic counter records the recovery.
+func TestServerRecoversHandlerPanic(t *testing.T) {
+	for _, op := range []string{"fetch", "subscribe"} {
+		t.Run(op, func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			srv, err := NewServerWithConfig("tgt", 0, ServerConfig{Logf: quietLogf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			srv.SetBundle(testBundle())
+			srv.Publish([]TimedRSS{{T: 1, RSS: -60}}, nil, true)
+
+			var calls atomic.Int32
+			srv.handlerHook = func(got string) {
+				if got == op && calls.Add(1) == 1 {
+					panic("poisoned frame")
+				}
+			}
+
+			before := metPanicsRecovered.Value()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if op == "fetch" {
+				b, err := FetchWithRetry(ctx, srv.Addr(), Retry{
+					MaxAttempts: 4, BaseDelay: 10 * time.Millisecond,
+				})
+				if err != nil {
+					t.Fatalf("Fetch after handler panic: %v", err)
+				}
+				if b.Device != "target-phone" {
+					t.Errorf("fetched %+v", b)
+				}
+			} else {
+				got, err := subscribeAll(ctx, srv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != 1 || got[0].Seq != 1 {
+					t.Fatalf("batches after panic recovery = %+v, want the one published", got)
+				}
+			}
+			if calls.Load() < 2 {
+				t.Errorf("%s exchanges = %d, want ≥2 (one panicked)", op, calls.Load())
+			}
+			if got := metPanicsRecovered.Value() - before; got < 1 {
+				t.Errorf("panics.recovered delta = %d, want ≥1", got)
+			}
+		})
 	}
 }
 
 // TestServerShedsOverConnCap: connections beyond MaxConns are rejected
-// with a typed overload error, and the slot frees once the holder leaves.
+// with a typed overload error — a fetch's reply or a subscriber's hello
+// answer — and the slot frees once the holder leaves.
 func TestServerShedsOverConnCap(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	srv, err := NewServerWithConfig("tgt", 0, ServerConfig{MaxConns: 1, Logf: quietLogf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.SetBundle(testBundle())
+	for _, op := range []string{"fetch", "subscribe"} {
+		t.Run(op, func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			srv, err := NewServerWithConfig("tgt", 0, ServerConfig{MaxConns: 1, Logf: quietLogf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			srv.SetBundle(testBundle())
+			srv.Publish([]TimedRSS{{T: 1, RSS: -60}}, nil, true)
+			run := func(ctx context.Context) error {
+				if op == "fetch" {
+					_, err := FetchWithRetry(ctx, srv.Addr(), Retry{MaxAttempts: 1})
+					return err
+				}
+				got, err := subscribeAll(ctx, srv)
+				if err == nil && len(got) != 1 {
+					err = fmt.Errorf("stream delivered %d batches, want 1", len(got))
+				}
+				return err
+			}
 
-	// Occupy the single slot with a live exchange.
-	hold, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hold.Close()
-	rawFetch(t, hold, bufio.NewReader(hold))
+			// Occupy the single slot with a live exchange.
+			hold, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hold.Close()
+			rawFetch(t, hold, bufio.NewReader(hold))
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	shedBefore := metConnsShed.Value()
-	if _, err := FetchWithRetry(ctx, srv.Addr(), Retry{MaxAttempts: 1}); !errors.Is(err, resilience.ErrOverloaded) {
-		t.Fatalf("fetch over cap = %v, want ErrOverloaded", err)
-	}
-	if metConnsShed.Value() <= shedBefore {
-		t.Error("conns.shed did not increase")
-	}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			shedBefore := metConnsShed.Value()
+			if err := run(ctx); !errors.Is(err, resilience.ErrOverloaded) {
+				t.Fatalf("%s over cap = %v, want ErrOverloaded", op, err)
+			}
+			if metConnsShed.Value() <= shedBefore {
+				t.Error("conns.shed did not increase")
+			}
 
-	// Freeing the slot restores service.
-	hold.Close()
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	if _, err := FetchWithRetry(ctx2, srv.Addr(), Retry{
-		MaxAttempts: 8, BaseDelay: 20 * time.Millisecond,
-	}); err != nil {
-		t.Fatalf("fetch after slot freed: %v", err)
+			// Freeing the slot restores service.
+			hold.Close()
+			ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel2()
+			retry := Retry{MaxAttempts: 8, BaseDelay: 20 * time.Millisecond}
+			if err := retry.Do(ctx2, func() error { return run(ctx2) }); err != nil {
+				t.Fatalf("%s after slot freed: %v", op, err)
+			}
+		})
 	}
 }
 
@@ -299,7 +323,7 @@ func TestServerWatchdogEvictsStalledConn(t *testing.T) {
 // then a clean channel close.
 func TestStreamShutdownSendsDrainingFrame(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	srv, err := NewStreamServerWithConfig("tgt", 0, ServerConfig{Logf: quietLogf})
+	srv, err := NewServerWithConfig("tgt", 0, ServerConfig{Logf: quietLogf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,46 +362,64 @@ func TestStreamShutdownSendsDrainingFrame(t *testing.T) {
 	}
 }
 
-// TestStreamServerShedsOverCap: subscriber connections beyond MaxConns
-// receive the overloaded frame and are closed.
-func TestStreamServerShedsOverCap(t *testing.T) {
+// TestServerServesEveryOpAtOnce: one Server carries a locb1 push
+// client, a plain-JSON fetch and a live subscriber at the same time, and
+// one Shutdown drains all three — the subscriber's last batch is the
+// draining one, and the push client finds its connection closed.
+func TestServerServesEveryOpAtOnce(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	srv, err := NewStreamServerWithConfig("tgt", 0, ServerConfig{MaxConns: 1, Logf: quietLogf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv, _ := newPushServer(t, ServerConfig{Logf: quietLogf})
+	srv.SetBundle(testBundle())
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 
-	hold, err := net.Dial("tcp", srv.Addr())
+	ch, err := Subscribe(ctx, srv.Addr())
+	if err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	waitSubscribers(t, srv, 1)
+	cl, err := DialFleet(ctx, srv.Addr())
+	if err != nil {
+		t.Fatalf("DialFleet: %v", err)
+	}
+	defer cl.Close()
+	// The fetch connection stays open after its exchange, so its handler
+	// is parked in the next read when Shutdown comes.
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hold.Close()
-	// Wait until the holder is registered (admission happens at accept).
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.conns.len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("holder connection never registered")
+	defer conn.Close()
+	if b := rawFetch(t, conn, bufio.NewReader(conn)); b.Device != "target-phone" {
+		t.Fatalf("fetched %+v", b)
+	}
+
+	const slice = 16
+	stream := fleet.SynthStream("all-ops", 3*slice, 0)
+	for i := 0; i < 3; i++ {
+		if err := srv.Publish([]TimedRSS{{T: float64(i), RSS: -60}}, nil, false); err != nil {
+			t.Fatalf("Publish %d: %v", i, err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		res, err := cl.Push(ctx, toWire(stream[i*slice:(i+1)*slice]))
+		if err != nil || len(res) != 1 || res[0].Err != "" {
+			t.Fatalf("Push %d = %+v, %v", i, res, err)
+		}
+		if b := <-ch; b.Seq != i+1 {
+			t.Fatalf("stream batch %+v, want seq %d", b, i+1)
+		}
 	}
 
-	over, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown = %v, want a clean drain", err)
 	}
-	defer over.Close()
-	over.SetWriteDeadline(time.Now().Add(time.Second))
-	if err := WriteFrame(over, subscribeReq{Op: "subscribe"}); err != nil {
-		t.Fatal(err)
+	if term, ok := <-ch; !ok || !term.Final || !term.Draining || term.Seq != 4 {
+		t.Fatalf("terminal batch = %+v (open %v), want Final+Draining seq 4", term, ok)
 	}
-	over.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var resp map[string]string
-	if err := ReadFrame(bufio.NewReader(over), &resp); err != nil {
-		t.Fatalf("read shed frame: %v", err)
+	if _, ok := <-ch; ok {
+		t.Error("batches after the terminal draining frame")
 	}
-	if resp["error"] != "overloaded" {
-		t.Fatalf("shed frame = %v, want overloaded", resp)
+	if _, err := cl.Push(ctx, toWire(stream[:slice])); err == nil {
+		t.Error("Push after Shutdown succeeded")
 	}
 }
 
@@ -412,7 +454,7 @@ func TestRetryBreakerFailsFast(t *testing.T) {
 // subscription recovers every batch from the history.
 func TestStreamSlowSubscriberSkipsAndResumes(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	srv, err := NewStreamServerWithConfig("tgt", 0, ServerConfig{
+	srv, err := NewServerWithConfig("tgt", 0, ServerConfig{
 		SubBuffer: 1, WriteTimeout: 150 * time.Millisecond, Logf: quietLogf,
 	})
 	if err != nil {
@@ -420,28 +462,23 @@ func TestStreamSlowSubscriberSkipsAndResumes(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// The slow subscriber: subscribes, then never reads. Batches are
-	// bulky so the socket buffers fill and the server's writes stall,
-	// backing up into the 1-slot live buffer.
+	// The slow subscriber: says hello, subscribes, then never reads.
+	// Batches are bulky so the socket buffers fill and the server's
+	// writes stall, backing up into the 1-slot live buffer.
 	slow, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer slow.Close()
-	slow.SetWriteDeadline(time.Now().Add(time.Second))
-	if err := WriteFrame(slow, subscribeReq{Op: "subscribe"}); err != nil {
+	if err := hello(context.Background(), slow, bufio.NewReader(slow)); err != nil {
 		t.Fatal(err)
 	}
-	// Registration is asynchronous: publishing before the server has
-	// processed the subscribe frame broadcasts to nobody and nothing
-	// would ever be skipped.
-	waitDeadline := time.Now().Add(5 * time.Second)
-	for srv.Subscribers() == 0 {
-		if time.Now().After(waitDeadline) {
-			t.Fatal("slow subscriber never registered")
-		}
-		time.Sleep(time.Millisecond)
+	if err := writeBinJSON(slow, newFrameBuf(), subscribeReq{Op: "subscribe"}); err != nil {
+		t.Fatal(err)
 	}
+	// Publishing before the server has processed the subscribe frame
+	// broadcasts to nobody and nothing would ever be skipped.
+	waitSubscribers(t, srv, 1)
 
 	bulk := make([]TimedRSS, 8192)
 	for i := range bulk {

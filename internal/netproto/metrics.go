@@ -47,19 +47,12 @@ var (
 	metSubSkips   = obs.Default.Counter("netproto.stream.sub_skips")
 	metSubsActive = obs.Default.Gauge("netproto.stream.subs.active")
 
-	// Codec negotiation outcomes (server side): connections negotiated
-	// onto the binary codec, connections that explicitly negotiated (or
-	// defaulted to) JSON via a hello, and hellos refused — unknown
-	// codec, mid-stream hello, or negotiation disabled. Connections
-	// that never send a hello (old clients) count nowhere: they are the
-	// implicit JSON baseline.
+	// Hello outcomes (server side): connections opened onto locb1 (one
+	// per accepted hello), and refusals — an unknown codec, a mid-stream
+	// hello, or a push/subscribe on a connection that never said hello.
+	// Plain JSON connections (fetch, metrics) count nowhere.
 	metCodecBinary   = obs.Default.Counter("netproto.codec.binary")
-	metCodecJSON     = obs.Default.Counter("netproto.codec.json")
 	metCodecRejected = obs.Default.Counter("netproto.codec.rejected")
-	// metCodecFallbacks counts client-side negotiations that fell back
-	// to JSON by re-dialing (the server answered the hello with an
-	// error, i.e. an old or binary-disabled deployment).
-	metCodecFallbacks = obs.Default.Counter("netproto.codec.fallbacks")
 	// metPipelineInflight gauges push/drain exchanges written but not
 	// yet answered across all pipelined fleet clients; its Max is the
 	// realized pipelining depth.

@@ -3,16 +3,18 @@
 // the target sends its RSS and motion traces to the observer for
 // processing. The paper used UPnP; this package provides the same
 // semantics with a small, self-contained protocol: UDP discovery
-// (request/offer, like SSDP's M-SEARCH) plus a length-prefixed JSON
-// exchange over TCP for the trace payload.
+// (request/offer, like SSDP's M-SEARCH) plus length-prefixed frames over
+// TCP. One Server answers every TCP op: the trace bundle (fetch) and
+// metrics in plain JSON, and — after a locb1 hello — fleet ingest (push,
+// drain) and the live trace stream (subscribe); see codec.go.
 //
-// The servers are built for long-running serving: accept loops run under
-// a restarting supervisor, per-connection handlers are panic-isolated
-// (a poisoned frame closes one connection, not the process), admission
-// is controlled by a connection cap and an optional token bucket (excess
-// connections are shed with an "overloaded" frame), stalled connections
-// are evicted by a watchdog, and Shutdown drains in-flight exchanges
-// before closing.
+// The server is built for long-running serving: the accept loop runs
+// under a restarting supervisor, per-connection handlers are
+// panic-isolated (a poisoned frame closes one connection, not the
+// process), admission is controlled by a connection cap and an optional
+// token bucket (excess connections are shed with an "overloaded" frame),
+// stalled connections are evicted by a watchdog, and Shutdown drains
+// in-flight exchanges before closing.
 package netproto
 
 import (
@@ -26,6 +28,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"locble/internal/fleet"
@@ -166,8 +169,8 @@ func ReadFrame(r io.Reader, v any) error {
 	return nil
 }
 
-// ServerConfig tunes the lifecycle and overload behaviour shared by
-// Server and StreamServer. The zero value takes the defaults.
+// ServerConfig tunes a Server's lifecycle and overload behaviour. The
+// zero value takes the defaults.
 type ServerConfig struct {
 	// MaxConns caps concurrently served connections (default 64,
 	// negative for unlimited). Connections over the cap are shed with an
@@ -185,16 +188,10 @@ type ServerConfig struct {
 	// WriteTimeout is the per-frame write deadline (default
 	// FrameTimeout). Lower it to evict slow-reading clients faster.
 	WriteTimeout time.Duration
-	// SubBuffer is a StreamServer's per-subscriber live buffer in
-	// batches (default 64). A subscriber whose buffer is full has
-	// batches skipped live; it recovers them from the history on resume.
+	// SubBuffer is the per-subscriber live stream buffer in batches
+	// (default 64). A subscriber whose buffer is full has batches
+	// skipped live; it recovers them from the history on resume.
 	SubBuffer int
-	// DisableBinary refuses codec negotiation: hello frames are answered
-	// with the same "unknown op" error frame a pre-codec server sends,
-	// so negotiating clients fall back to JSON exactly as they would
-	// against an old deployment. Useful to pin a mixed fleet to one
-	// codec (and to test the fallback path against a live server).
-	DisableBinary bool
 	// Logf receives supervision and panic-recovery reports (default
 	// log.Printf).
 	Logf func(format string, args ...any)
@@ -297,8 +294,9 @@ func shedConn(conn net.Conn, timeout time.Duration, wg *sync.WaitGroup) {
 	}()
 }
 
-// Server announces a device and serves its trace bundle. It listens for
-// discovery datagrams on UDP and serves trace fetches on TCP.
+// Server announces a device and serves it: discovery datagrams on UDP,
+// and on TCP the trace bundle, fleet ingest, the live trace stream and
+// metrics.
 type Server struct {
 	DeviceName string
 
@@ -307,6 +305,12 @@ type Server struct {
 	mu     sync.Mutex
 	bundle *TraceBundle
 	fleet  *fleet.Fleet // attached via SetFleet; nil refuses "push"
+	// The live stream session (stream.go): its history for resumption,
+	// the live subscribers, and whether a final batch ended it.
+	subs    map[net.Conn]chan StreamBatch
+	history []StreamBatch
+	ended   bool
+	skips   atomic.Int64
 
 	// drainCtx is canceled when a forced shutdown fires, releasing push
 	// exchanges held in fleet shard backpressure so the drain can't wedge
@@ -323,15 +327,15 @@ type Server struct {
 	stopOnce sync.Once
 	closed   chan struct{}
 
-	// handlerHook, if set, observes every decoded op before dispatch.
-	// Tests inject panics and stalls through it; it must be set before
-	// the first connection arrives.
+	// handlerHook, if set, observes every decoded op (subscribe
+	// included) before dispatch. Tests inject panics and stalls through
+	// it; it must be set before the first connection arrives.
 	handlerHook func(op string)
 }
 
 // SetBundle publishes the bundle served to clients (replacing any prior
-// one). Non-finite entries are dropped at this boundary (JSON cannot
-// carry them). Safe for concurrent use.
+// one). Non-finite entries are dropped at this boundary (the fetch reply
+// is JSON, which cannot carry them). Safe for concurrent use.
 func (s *Server) SetBundle(b *TraceBundle) {
 	b = b.Sanitize()
 	s.mu.Lock()
@@ -369,6 +373,7 @@ func NewServerWithConfig(device string, port int, cfg ServerConfig) (*Server, er
 		udp:        udp,
 		conns:      newConnTable(),
 		closed:     make(chan struct{}),
+		subs:       make(map[net.Conn]chan StreamBatch),
 	}
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 	s.wg.Add(2)
@@ -395,15 +400,25 @@ func (s *Server) Close() error {
 
 // Shutdown gracefully stops the server: it stops accepting, lets each
 // in-flight frame exchange complete, and waits for the per-connection
-// handlers to drain. If ctx ends first, the remaining connections are
-// force-closed and the context's error is returned; a clean drain
-// returns nil. Safe to call multiple times and concurrently.
+// handlers to drain. If the stream session is still live, a terminal
+// batch with Final and Draining set is published first, so subscribers
+// learn the stream ended because of shutdown, not measurement end. If
+// ctx ends first, the remaining connections are force-closed and the
+// context's error is returned; a clean drain returns nil. Safe to call
+// multiple times and concurrently.
 func (s *Server) Shutdown(ctx context.Context) error {
 	first := false
 	s.stopOnce.Do(func() { close(s.closed); first = true })
 	s.tcp.Close()
 	s.udp.Close()
 	start := time.Now()
+	if first {
+		s.mu.Lock()
+		if !s.ended {
+			s.publishLocked(StreamBatch{Final: true, Draining: true})
+		}
+		s.mu.Unlock()
+	}
 	// Handlers parked between frames wake via an expired read and then
 	// observe the drain; handlers mid-exchange finish their frame.
 	s.conns.expireReads()
@@ -490,10 +505,11 @@ func (s *Server) admit(conn net.Conn) bool {
 	return true
 }
 
-// handleConn serves one trace-exchange connection. It is panic-isolated
-// (a handler panic closes this connection only), watchdog-guarded (a
-// stalled exchange is evicted), and drain-aware (between frames it
-// observes shutdown and exits).
+// handleConn serves one connection. It is panic-isolated (a handler
+// panic closes this connection only), watchdog-guarded (a stalled
+// exchange is evicted), and drain-aware (between frames it observes
+// shutdown and exits). A subscribe turns the connection into a live
+// stream for the rest of its life.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -544,12 +560,19 @@ func (s *Server) handleConn(conn net.Conn) {
 				return
 			}
 			first = false
-			if !negotiateHello(w, req.Codec, s.cfg.DisableBinary) {
+			if !negotiateHello(w, req.Codec) {
 				return
 			}
 			continue
 		}
 		first = false
+		if !w.binary && (req.Op == "push" || req.Op == "subscribe") {
+			// The hot frames exist only in locb1: a connection that never
+			// said hello cannot carry them.
+			metCodecRejected.Inc()
+			w.writeError(req.Op + " requires the " + CodecBinary + " codec: open with a hello")
+			return
+		}
 		switch req.Op {
 		case "fetch":
 			s.mu.Lock()
@@ -572,6 +595,13 @@ func (s *Server) handleConn(conn net.Conn) {
 			if !s.handleDrain(conn, w) {
 				return
 			}
+		case "subscribe":
+			// A stream reads nothing more from its subscriber, so the
+			// progress watchdog would evict it every IdleTimeout; the
+			// per-batch write deadlines police it instead.
+			wd.Stop()
+			s.serveStream(conn, w, req.From)
+			return
 		case "metrics":
 			// Expvar-style introspection: the process-wide metric
 			// snapshot as one JSON frame, so an operator (or test)

@@ -96,8 +96,9 @@ func TestRetryDelayBounds(t *testing.T) {
 }
 
 // flakyStreamProxy fronts a stream server. The first connection is
-// killed after forwarding exactly one server→client frame (simulating a
-// link drop mid-stream); later connections forward transparently.
+// killed after forwarding the hello ack and exactly one batch
+// (simulating a link drop mid-stream); later connections forward
+// transparently.
 type flakyStreamProxy struct {
 	ln     net.Listener
 	target string
@@ -129,36 +130,39 @@ func (p *flakyStreamProxy) serve() {
 	}
 }
 
-func (p *flakyStreamProxy) forward(client net.Conn, killAfterOneFrame bool) {
+func (p *flakyStreamProxy) forward(client net.Conn, flaky bool) {
 	defer client.Close()
 	server, err := net.Dial("tcp", p.target)
 	if err != nil {
 		return
 	}
 	defer server.Close()
-	go io.Copy(server, client) // hello frame upstream
-	if !killAfterOneFrame {
+	go io.Copy(server, client) // hello and subscribe frames upstream
+	if !flaky {
 		io.Copy(client, server)
 		return
 	}
-	// Forward one length-prefixed frame, then cut the link.
-	var hdr [4]byte
-	if _, err := io.ReadFull(server, hdr[:]); err != nil {
-		return
+	// Forward two length-prefixed frames (ack, first batch), then cut
+	// the link.
+	for i := 0; i < 2; i++ {
+		var hdr [4]byte
+		if _, err := io.ReadFull(server, hdr[:]); err != nil {
+			return
+		}
+		body := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+		if _, err := io.ReadFull(server, body); err != nil {
+			return
+		}
+		client.Write(hdr[:])
+		client.Write(body)
 	}
-	body := make([]byte, binary.BigEndian.Uint32(hdr[:]))
-	if _, err := io.ReadFull(server, body); err != nil {
-		return
-	}
-	client.Write(hdr[:])
-	client.Write(body)
 }
 
 // TestStreamReconnectResume: the link drops after the first batch. The
 // subscriber must reconnect, resume from the last sequence number it
 // holds, and deliver the rest of the session exactly once.
 func TestStreamReconnectResume(t *testing.T) {
-	srv, err := NewStreamServer("tgt", 0)
+	srv, err := NewServer("tgt", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +215,7 @@ func TestStreamReconnectResume(t *testing.T) {
 // TestStreamReplayAfterFinal: a subscriber arriving after the session
 // ended still receives the full history (replay-only serving).
 func TestStreamReplayAfterFinal(t *testing.T) {
-	srv, err := NewStreamServer("tgt", 0)
+	srv, err := NewServer("tgt", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +239,9 @@ func TestStreamReplayAfterFinal(t *testing.T) {
 }
 
 // TestStreamPublishSanitizesNonFinite: NaN/Inf readings must be dropped
-// at the wire boundary — JSON cannot carry them, and a subscriber must
-// never see one.
+// at the publish boundary — a subscriber must never see one.
 func TestStreamPublishSanitizesNonFinite(t *testing.T) {
-	srv, err := NewStreamServer("tgt", 0)
+	srv, err := NewServer("tgt", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,11 @@ import (
 	"locble/internal/testutil"
 )
 
-// TestChaosSoak hammers a trace server and a stream server with
-// concurrent clients, connection churn, garbage frames, fault-injected
-// payloads, and randomly panicking handlers, then shuts both down
-// gracefully and asserts nothing crashed, no goroutine leaked, and the
-// lifecycle metrics stayed consistent.
+// TestChaosSoak hammers two servers — one serving fetches, one the live
+// stream — with concurrent clients, connection churn, garbage frames,
+// fault-injected payloads, and randomly panicking handlers, then shuts
+// both down gracefully and asserts nothing crashed, no goroutine leaked,
+// and the lifecycle metrics stayed consistent.
 //
 // The default duration keeps the tier-1 gate fast; `make soak` extends
 // it via LOCBLE_SOAK (e.g. LOCBLE_SOAK=30s).
@@ -64,7 +64,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 
-	stream, err := NewStreamServerWithConfig("soak", 0, ServerConfig{
+	stream, err := NewServerWithConfig("soak", 0, ServerConfig{
 		MaxConns:     16,
 		SubBuffer:    4,
 		WriteTimeout: 300 * time.Millisecond,

@@ -3,30 +3,24 @@ package netproto
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"locble/internal/resilience"
 )
 
 // Streaming extends the bundle exchange with a live mode: during a
 // continuous tracking session the target pushes (RSS, motion) batches as
 // they are produced instead of one bundle at the end — what the
-// observer's sliding-window tracker consumes. The wire format reuses the
-// length-prefixed JSON frames.
+// observer's sliding-window tracker consumes. It is the Server's
+// subscribe op: after the locb1 hello, a subscriber sends
+// {"op":"subscribe","from":N} (bfJSON-wrapped) and the connection
+// becomes a one-way stream of bfStreamBatch frames.
 //
 // Every batch carries a sequence number and the server retains the
-// session's history, so the stream is resumable: a subscriber opens with
-// {"op":"subscribe","from":N} and the server replays everything after
-// batch N before going live. Subscribe reconnects automatically when the
-// TCP connection drops mid-session, resuming from the last batch it
-// delivered instead of losing the measurement.
+// session's history, so the stream is resumable: the server replays
+// everything after batch N before going live. Subscribe reconnects
+// automatically when the TCP connection drops mid-session, resuming from
+// the last batch it delivered instead of losing the measurement.
 
 // StreamBatch is one live update from the target.
 type StreamBatch struct {
@@ -42,7 +36,7 @@ type StreamBatch struct {
 	Draining bool `json:"draining,omitempty"`
 }
 
-// subscribeReq is the hello frame a subscriber sends on connect. From is
+// subscribeReq is the frame a subscriber sends after its hello. From is
 // the last sequence number it already holds (0 for a fresh session).
 type subscribeReq struct {
 	Op   string `json:"op"`
@@ -56,162 +50,81 @@ var ErrStreamClosed = errors.New("netproto: stream closed")
 // before treating the connection as dead (and reconnecting).
 var StreamIdleTimeout = 30 * time.Second
 
-// StreamServer publishes live batches to any number of subscribers and
-// retains the session history for resumption.
-type StreamServer struct {
-	DeviceName string
-
-	cfg ServerConfig
-	ln  net.Listener
-
-	mu      sync.Mutex
-	subs    map[net.Conn]chan StreamBatch
-	history []StreamBatch
-	seq     int
-	closed  bool // final published or Close called; history still served
-
-	conns *connTable
-
-	wg       sync.WaitGroup
-	stopOnce sync.Once
-	stopped  chan struct{}
-
-	skips atomic.Int64
-
-	// subscribeHook, if set, observes every accepted subscribe request.
-	// Tests inject panics through it; it must be set before the first
-	// subscriber arrives.
-	subscribeHook func(req subscribeReq)
-}
-
-// NewStreamServer starts a live-stream publisher on loopback (port 0 for
-// ephemeral) with the default lifecycle config.
-func NewStreamServer(device string, port int) (*StreamServer, error) {
-	return NewStreamServerWithConfig(device, port, ServerConfig{})
-}
-
-// NewStreamServerWithConfig is NewStreamServer with explicit lifecycle
-// and overload controls.
-func NewStreamServerWithConfig(device string, port int, cfg ServerConfig) (*StreamServer, error) {
-	ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port))
-	if err != nil {
-		return nil, fmt.Errorf("netproto: stream listen: %w", err)
-	}
-	s := &StreamServer{
-		DeviceName: device,
-		cfg:        cfg.withDefaults(),
-		ln:         ln,
-		subs:       make(map[net.Conn]chan StreamBatch),
-		conns:      newConnTable(),
-		stopped:    make(chan struct{}),
-	}
-	s.wg.Add(1)
-	go s.accept()
-	return s, nil
-}
-
-// Addr returns the TCP address subscribers dial.
-func (s *StreamServer) Addr() string { return s.ln.Addr().String() }
-
 // SubscriberSkips returns how many live batches were skipped because a
 // subscriber's buffer was full. Skipped batches stay in the history, so
 // the subscriber recovers them on resume.
-func (s *StreamServer) SubscriberSkips() int64 { return s.skips.Load() }
+func (s *Server) SubscriberSkips() int64 { return s.skips.Load() }
 
 // Subscribers returns how many subscribers are currently registered for
 // live batches. A subscriber counts from the moment its subscribe frame
 // has been accepted, so a publisher can wait for listeners before
 // pushing data it does not want replayed from history.
-func (s *StreamServer) Subscribers() int {
+func (s *Server) Subscribers() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.subs)
 }
 
-func (s *StreamServer) accept() {
-	defer s.wg.Done()
-	sup := &resilience.Supervisor{Name: "netproto.stream.accept", Logf: s.cfg.Logf}
-	sup.Run(context.Background(), func(context.Context) error {
-		for {
-			conn, err := s.ln.Accept()
-			if err != nil {
-				select {
-				case <-s.stopped:
-					return nil
-				default:
-					return err // supervisor restarts the loop
-				}
-			}
-			if !s.cfg.Admit.Allow() || !s.conns.tryAdd(conn, s.cfg.MaxConns) {
-				shedConn(conn, s.cfg.WriteTimeout, &s.wg)
-				continue
-			}
-			metConnsActive.Add(1)
-			s.wg.Add(1)
-			go s.serve(conn)
-		}
-	})
+// Publish sends one batch to every current subscriber and appends it to
+// the session history for resumption. Non-finite RSS/motion values are
+// dropped at this boundary, so a degraded sensor feed never reaches the
+// observer's tracker. Slow subscribers whose buffers are full are
+// skipped live — they recover the batch on reconnect, since it stays in
+// the history. A final batch ends the session; Publish then reports
+// ErrStreamClosed.
+func (s *Server) Publish(rss []TimedRSS, motion []MotionPoint, final bool) error {
+	rss, motion = sanitizeRSS(rss), sanitizeMotion(motion)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ended {
+		return ErrStreamClosed
+	}
+	s.publishLocked(StreamBatch{RSS: rss, Motion: motion, Final: final})
+	return nil
 }
 
-func (s *StreamServer) serve(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.conns.drop(conn)
-		metConnsActive.Add(-1)
-	}()
-	defer resilience.CatchPanic("netproto.stream.conn", s.cfg.Logf, func(any) {
-		metPanicsRecovered.Inc()
-	})()
-
-	// First frame: an optional codec hello, then the subscribe frame
-	// saying where to resume from.
-	rd := &connReader{br: bufio.NewReader(conn), fb: getFrameBuf()}
-	defer putFrameBuf(rd.fb)
-	w := &wireWriter{w: conn, fb: getFrameBuf()}
-	defer putFrameBuf(w.fb)
-	conn.SetReadDeadline(time.Now().Add(FrameTimeout))
-	var wreq wireReq
-	if err := rd.read(false, &wreq); err != nil {
-		return
-	}
-	if wreq.Op == "hello" {
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if !negotiateHello(w, wreq.Codec, s.cfg.DisableBinary) {
-			return
-		}
-		// The subscribe frame follows in the negotiated codec.
-		conn.SetReadDeadline(time.Now().Add(FrameTimeout))
-		if err := rd.read(w.binary, &wreq); err != nil {
-			return
+// publishLocked numbers b, appends it to the history and offers it to
+// every live subscriber, skipping (and counting) those whose buffers are
+// full. A final batch closes every subscriber channel and ends live
+// registration; later subscribers are served the history only.
+func (s *Server) publishLocked(b StreamBatch) {
+	b.Seq = len(s.history) + 1
+	s.history = append(s.history, b)
+	for _, ch := range s.subs {
+		select {
+		case ch <- b:
+		default: // drop for this subscriber; history covers it
+			s.skips.Add(1)
+			metSubSkips.Inc()
 		}
 	}
-	if wreq.Op != "subscribe" {
-		return
+	if b.Final {
+		s.ended = true
+		for conn, ch := range s.subs {
+			close(ch)
+			delete(s.subs, conn)
+		}
 	}
-	req := subscribeReq{Op: wreq.Op, From: wreq.From}
-	if hook := s.subscribeHook; hook != nil {
-		hook(req)
-	}
+}
 
-	// Snapshot the replay backlog and register for live batches under
-	// one lock acquisition, so no batch can fall between replay and live.
+// serveStream runs a subscribe exchange to its end: replay the history
+// after batch from, then forward live batches until the session ends or
+// a write fails.
+func (s *Server) serveStream(conn net.Conn, w *wireWriter, from int) {
+	// Snapshot the history and register for live batches under one lock
+	// acquisition, so no batch can fall between replay and live. The
+	// history is append-only, so the snapshot stays valid unlocked.
 	s.mu.Lock()
-	var replay []StreamBatch
-	for _, b := range s.history {
-		if b.Seq > req.From {
-			replay = append(replay, b)
-		}
-	}
+	replay := s.history
 	var ch chan StreamBatch
-	if !s.closed {
+	if !s.ended {
 		ch = make(chan StreamBatch, s.cfg.SubBuffer)
 		s.subs[conn] = ch
 	}
 	s.mu.Unlock()
-	if req.From > 0 {
+	if from > 0 {
 		// A resuming subscriber: how much history it had to recover.
-		metResumeDepth.Observe(float64(len(replay)))
+		metResumeDepth.Observe(float64(max(len(replay)-from, 0)))
 	}
 	if ch != nil {
 		metSubsActive.Add(1)
@@ -223,7 +136,7 @@ func (s *StreamServer) serve(conn net.Conn) {
 		}()
 	}
 
-	lastSent := req.From
+	lastSent := from
 	send := func(b StreamBatch) bool {
 		if b.Seq <= lastSent {
 			return true // already delivered (replay/live overlap)
@@ -255,120 +168,14 @@ func (s *StreamServer) serve(conn net.Conn) {
 	}
 }
 
-// Publish sends one batch to every current subscriber and appends it to
-// the session history for resumption. Non-finite RSS/motion values are
-// dropped at this boundary (JSON cannot carry them). Slow subscribers
-// whose buffers are full are skipped live — they recover the batch on
-// reconnect, since it stays in the history.
-func (s *StreamServer) Publish(rss []TimedRSS, motion []MotionPoint, final bool) error {
-	rss = sanitizeRSS(rss)
-	motion = sanitizeMotion(motion)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStreamClosed
-	}
-	s.seq++
-	b := StreamBatch{Seq: s.seq, RSS: rss, Motion: motion, Final: final}
-	s.history = append(s.history, b)
-	s.broadcastLocked(b)
-	if final {
-		s.endSessionLocked()
-	}
-	return nil
-}
-
-// broadcastLocked offers b to every live subscriber, skipping (and
-// counting) those whose buffers are full.
-func (s *StreamServer) broadcastLocked(b StreamBatch) {
-	for _, ch := range s.subs {
-		select {
-		case ch <- b:
-		default: // drop for this subscriber; history covers it
-			s.skips.Add(1)
-			metSubSkips.Inc()
-		}
-	}
-}
-
-// endSessionLocked closes every live subscriber channel and stops
-// accepting new live registrations.
-func (s *StreamServer) endSessionLocked() {
-	s.closed = true
-	for _, ch := range s.subs {
-		close(ch)
-	}
-	s.subs = map[net.Conn]chan StreamBatch{}
-}
-
-// Shutdown gracefully stops the server. If the session is still live, a
-// terminal batch with Final and Draining set is published so subscribers
-// learn the stream ended because of shutdown, not measurement end; then
-// the listener closes and in-flight sends drain. If ctx ends first, the
-// remaining connections are force-closed and the context's error
-// returned. Safe to call multiple times and concurrently.
-func (s *StreamServer) Shutdown(ctx context.Context) error {
-	first := false
-	s.stopOnce.Do(func() { close(s.stopped); first = true })
-	s.ln.Close()
-	start := time.Now()
-	if first {
-		s.mu.Lock()
-		if !s.closed {
-			s.seq++
-			b := StreamBatch{Seq: s.seq, Final: true, Draining: true}
-			s.history = append(s.history, b)
-			s.broadcastLocked(b)
-			s.endSessionLocked()
-		}
-		s.mu.Unlock()
-	}
-	// Wake handshake waiters parked in their hello-frame read.
-	s.conns.expireReads()
-	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
-	var forced error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		forced = ctx.Err()
-		s.conns.closeAll()
-		<-done
-	}
-	if first {
-		metDrainSeconds.Observe(time.Since(start).Seconds())
-	}
-	return forced
-}
-
-// Close is the hard stop: subscribers are cut immediately (after the
-// terminal draining batch, if the session was still live) and all
-// goroutines are waited for. Publish(…, final=true) is the graceful end
-// of session; Shutdown the graceful end of serving.
-func (s *StreamServer) Close() error {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s.Shutdown(ctx)
-	return nil
-}
-
-// Subscribe dials a StreamServer and delivers batches in order on the
-// returned channel until the stream ends or the context is cancelled.
-// The binary codec is negotiated by default (falling back to JSON
-// against servers that don't speak it). A dropped connection is
-// re-dialled with backoff — re-negotiating the codec, since the server
-// may have been replaced — and the stream resumed from the last
-// delivered batch; duplicates are filtered by sequence number, so the
-// consumer sees each batch exactly once. The channel is closed when
-// the subscription ends.
+// Subscribe dials a Server and delivers its live stream in order on the
+// returned channel until the stream ends or the context is cancelled. A
+// dropped connection is re-dialled with backoff and the stream resumed
+// from the last delivered batch; duplicates are filtered by sequence
+// number, so the consumer sees each batch exactly once. The channel is
+// closed when the subscription ends.
 func Subscribe(ctx context.Context, addr string) (<-chan StreamBatch, error) {
-	return SubscribeCodec(ctx, addr, "")
-}
-
-// SubscribeCodec is Subscribe with explicit codec control; see
-// FleetDialConfig.Codec for the accepted values.
-func SubscribeCodec(ctx context.Context, addr, codec string) (<-chan StreamBatch, error) {
-	sc, err := dialSubscribe(ctx, addr, 0, codec)
+	sc, err := dialSubscribe(ctx, addr, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -386,7 +193,7 @@ func SubscribeCodec(ctx context.Context, addr, codec string) (<-chan StreamBatch
 			// Connection died mid-session: reconnect and resume.
 			reErr := policy.Do(ctx, func() error {
 				var dErr error
-				sc, dErr = dialSubscribe(ctx, addr, last, codec)
+				sc, dErr = dialSubscribe(ctx, addr, last)
 				return dErr
 			})
 			if reErr != nil {
@@ -398,117 +205,41 @@ func SubscribeCodec(ctx context.Context, addr, codec string) (<-chan StreamBatch
 	return out, nil
 }
 
-// subConn is one subscriber connection with its negotiated codec.
+// subConn is one subscriber connection.
 type subConn struct {
-	conn   net.Conn
-	br     *bufio.Reader
-	binary bool
+	conn net.Conn
+	br   *bufio.Reader
 }
 
-// dialSubscribe opens a stream connection, negotiates the codec, and
-// sends the subscribe frame in whatever codec was agreed.
-func dialSubscribe(ctx context.Context, addr string, from int, codec string) (*subConn, error) {
+// dialSubscribe opens a locb1 connection and sends the subscribe frame.
+func dialSubscribe(ctx context.Context, addr string, from int) (*subConn, error) {
 	d := net.Dialer{}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	sc := &subConn{conn: conn, br: bufio.NewReader(conn)}
-	if codec != CodecJSON {
-		done, err := sc.negotiate(ctx)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		if !done {
-			// Refused: an old (or binary-disabled) server answered the
-			// hello with an error and closed. Fall back to plain JSON on
-			// a fresh connection.
-			conn.Close()
-			if codec == CodecBinary || codec == "binary" {
-				return nil, fmt.Errorf("netproto: %s does not speak %s", addr, CodecBinary)
-			}
-			conn, err = d.DialContext(ctx, "tcp", addr)
-			if err != nil {
-				return nil, err
-			}
-			metCodecFallbacks.Inc()
-			sc = &subConn{conn: conn, br: bufio.NewReader(conn)}
-		}
+	if err := hello(ctx, conn, sc.br); err != nil {
+		conn.Close()
+		return nil, err
 	}
-	sc.conn.SetWriteDeadline(time.Now().Add(FrameTimeout))
-	req := subscribeReq{Op: "subscribe", From: from}
-	if sc.binary {
-		fb := getFrameBuf()
-		fb.beginFrame()
-		fb.b = append(fb.b, bfJSON)
-		err = fb.encodeJSONBody(req)
-		if err == nil {
-			err = flushFrame(sc.conn, fb.b)
-		}
-		putFrameBuf(fb)
-	} else {
-		err = WriteFrame(sc.conn, req)
-	}
+	conn.SetWriteDeadline(time.Now().Add(FrameTimeout))
+	fb := getFrameBuf()
+	err = writeBinJSON(conn, fb, subscribeReq{Op: "subscribe", From: from})
+	putFrameBuf(fb)
 	if err != nil {
-		sc.conn.Close()
+		conn.Close()
 		return nil, err
 	}
 	return sc, nil
-}
-
-// negotiate sends the hello frame and reads the answer. done=true
-// means negotiation concluded on this connection (sc.binary says which
-// codec); done=false means the server refused the hello entirely and
-// the caller should fall back to a fresh JSON connection.
-func (sc *subConn) negotiate(ctx context.Context) (done bool, err error) {
-	dl := time.Now().Add(FrameTimeout)
-	if cdl, ok := ctx.Deadline(); ok && cdl.Before(dl) {
-		dl = cdl
-	}
-	sc.conn.SetWriteDeadline(dl)
-	hello := struct {
-		Op    string `json:"op"`
-		Codec string `json:"codec"`
-	}{Op: "hello", Codec: CodecBinary}
-	if err := WriteFrame(sc.conn, &hello); err != nil {
-		return false, err
-	}
-	sc.conn.SetReadDeadline(dl)
-	var ack struct {
-		Codec string `json:"codec"`
-		Err   string `json:"error"`
-	}
-	if err := ReadFrame(sc.br, &ack); err != nil {
-		// An old server may close on the unknown op without answering.
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return false, nil
-		}
-		return false, err
-	}
-	switch ack.Codec {
-	case CodecBinary:
-		sc.binary = true
-		return true, nil
-	case CodecJSON:
-		return true, nil
-	default:
-		// Error answer ("unknown op", overload shed): redial plain. A
-		// shed will shed the retry too, and the reconnect loop backs
-		// off on it exactly as the pre-codec subscriber did.
-		return false, nil
-	}
 }
 
 // pump reads batches from one connection into out until the stream ends
 // (nil error), the context is cancelled (nil), or the connection fails
 // (the read error). It returns the last sequence number delivered.
 func pump(ctx context.Context, sc *subConn, last int, out chan<- StreamBatch) (int, error) {
-	var fb *frameBuf
-	if sc.binary {
-		fb = getFrameBuf()
-		defer putFrameBuf(fb)
-	}
+	fb := getFrameBuf()
+	defer putFrameBuf(fb)
 	for {
 		dl := time.Now().Add(StreamIdleTimeout)
 		if cdl, ok := ctx.Deadline(); ok && cdl.Before(dl) {
@@ -516,18 +247,9 @@ func pump(ctx context.Context, sc *subConn, last int, out chan<- StreamBatch) (i
 		}
 		sc.conn.SetReadDeadline(dl)
 		var b StreamBatch
-		var err error
-		if sc.binary {
-			var body []byte
-			body, err = readFrameBody(sc.br, fb)
-			if err == nil {
-				err = decodeSubFrame(body, &b)
-			}
-			if err == nil {
-				accountFrameIn(len(body))
-			}
-		} else {
-			err = ReadFrame(sc.br, &b)
+		body, err := readFrameBody(sc.br, fb)
+		if err == nil {
+			err = decodeSubFrame(body, &b)
 		}
 		if err != nil {
 			if ctx.Err() != nil {
@@ -535,6 +257,7 @@ func pump(ctx context.Context, sc *subConn, last int, out chan<- StreamBatch) (i
 			}
 			return last, err
 		}
+		accountFrameIn(len(body))
 		if b.Seq <= last {
 			continue // duplicate from a replay overlap
 		}
@@ -550,7 +273,7 @@ func pump(ctx context.Context, sc *subConn, last int, out chan<- StreamBatch) (i
 	}
 }
 
-// decodeSubFrame decodes one binary-mode stream frame.
+// decodeSubFrame decodes one stream frame: a batch or a typed error.
 func decodeSubFrame(body []byte, b *StreamBatch) error {
 	if len(body) == 0 {
 		return errBinMalformed
@@ -559,14 +282,7 @@ func decodeSubFrame(body []byte, b *StreamBatch) error {
 	case bfStreamBatch:
 		return decodeStreamBatch(body[1:], b)
 	case bfError:
-		r := binReader{b: body[1:]}
-		msg := r.str()
-		if err := r.done(); err != nil {
-			return err
-		}
-		return exchangeError("stream", msg)
-	case bfJSON:
-		return json.Unmarshal(body[1:], b)
+		return decodeError("stream", body)
 	default:
 		return errBinMalformed
 	}

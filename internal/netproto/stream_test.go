@@ -5,10 +5,12 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"locble/internal/testutil"
 )
 
 func TestStreamPublishSubscribe(t *testing.T) {
-	srv, err := NewStreamServer("tgt", 0)
+	srv, err := NewServer("tgt", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func TestStreamPublishSubscribe(t *testing.T) {
 }
 
 func TestStreamMultipleSubscribers(t *testing.T) {
-	srv, err := NewStreamServer("tgt", 0)
+	srv, err := NewServer("tgt", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +90,8 @@ func TestStreamMultipleSubscribers(t *testing.T) {
 	}
 }
 
-func TestStreamServerCloseUnblocksSubscribers(t *testing.T) {
-	srv, err := NewStreamServer("tgt", 0)
+func TestServerCloseUnblocksSubscribers(t *testing.T) {
+	srv, err := NewServer("tgt", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,5 +121,44 @@ func TestSubscribeConnectionRefused(t *testing.T) {
 	defer cancel()
 	if _, err := Subscribe(ctx, "127.0.0.1:1"); err == nil {
 		t.Error("want connection error")
+	}
+}
+
+// TestStreamIdleSubscriberKept: a subscriber waiting longer than
+// IdleTimeout for the next batch is a healthy stream, not a stalled
+// exchange — the server neither evicts it nor makes it reconnect.
+func TestStreamIdleSubscriberKept(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	srv, err := NewServerWithConfig("tgt", 0, ServerConfig{
+		IdleTimeout: 200 * time.Millisecond, Logf: quietLogf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	evicted, reconnects := metConnsEvicted.Value(), metReconnects.Value()
+	ch, err := Subscribe(ctx, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSubscribers(t, srv, 1)
+	time.Sleep(600 * time.Millisecond) // three IdleTimeouts without a batch
+	if err := srv.Publish([]TimedRSS{{T: 1, RSS: -60}}, nil, true); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for range ch {
+		n++
+	}
+	if n != 1 {
+		t.Fatalf("received %d batches, want 1", n)
+	}
+	if d := metConnsEvicted.Value() - evicted; d != 0 {
+		t.Errorf("conns.evicted delta = %d, want 0 (idle subscriber evicted)", d)
+	}
+	if d := metReconnects.Value() - reconnects; d != 0 {
+		t.Errorf("stream.reconnects delta = %d, want 0", d)
 	}
 }

@@ -155,7 +155,7 @@ func measureJSONWire(obs []netproto.PushObs) (WireCodecStats, error) {
 	if len(dec.Obs) != len(obs) {
 		return WireCodecStats{}, fmt.Errorf("wire bench: JSON decoded %d obs, want %d", len(dec.Obs), len(obs))
 	}
-	return wireStatsFrom(netproto.CodecJSON, len(frame), len(obs), encWall, decWall, encAllocs, ms1.Mallocs-ms0.Mallocs), nil
+	return wireStatsFrom("json", len(frame), len(obs), encWall, decWall, encAllocs, ms1.Mallocs-ms0.Mallocs), nil
 }
 
 // measureBinaryWire drives the locb1 path through the exported reusable

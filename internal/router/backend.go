@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"locble/internal/netproto"
@@ -25,7 +26,9 @@ type Backend interface {
 // exchange closes the connection (the pipeline is poisoned — the
 // stream position is unknown) and the next call redials; the router's
 // breaker decides whether that next call happens at all, so a dead
-// node costs one dial per probe, not per batch.
+// node costs one dial per probe, not per batch. The one failure that
+// redials at once is a connection the node closed while idle: nothing
+// was sent on it, so the exchange is resent on a fresh connection.
 type dialBackend struct {
 	addr string
 	cfg  netproto.FleetDialConfig
@@ -81,35 +84,42 @@ func (b *dialBackend) dropIf(cl *netproto.FleetClient) {
 	}
 }
 
-// Push implements Backend over the {"op":"push"} exchange. Concurrent
-// calls pipeline onto the shared connection.
-func (b *dialBackend) Push(ctx context.Context, obs []netproto.PushObs) ([]netproto.PushResult, error) {
-	cl, err := b.client(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res, err := cl.Push(ctx, obs)
-	if err != nil {
+// exchange runs do on the cached connection, dropping the connection if
+// it fails. A netproto.ErrPeerClosed failure wrote nothing, so it is
+// resent once on a fresh connection; any other failure may have reached
+// the node and is returned for the router to fail over.
+func exchange[T any](ctx context.Context, b *dialBackend, do func(*netproto.FleetClient) (T, error)) (T, error) {
+	for resent := false; ; resent = true {
+		cl, err := b.client(ctx)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		v, err := do(cl)
+		if err == nil {
+			return v, nil
+		}
 		b.dropIf(cl)
-		return nil, err
+		if resent || !errors.Is(err, netproto.ErrPeerClosed) {
+			return v, err
+		}
 	}
-	return res, nil
 }
 
-// Drain implements Backend over the {"op":"drain"} exchange. It rides
-// the same pipeline as pushes, so it is ordered after every push
-// already written.
+// Push implements Backend over the push exchange. Concurrent calls
+// pipeline onto the shared connection.
+func (b *dialBackend) Push(ctx context.Context, obs []netproto.PushObs) ([]netproto.PushResult, error) {
+	return exchange(ctx, b, func(cl *netproto.FleetClient) ([]netproto.PushResult, error) {
+		return cl.Push(ctx, obs)
+	})
+}
+
+// Drain implements Backend over the drain exchange. It rides the same
+// pipeline as pushes, so it is ordered after every push already written.
 func (b *dialBackend) Drain(ctx context.Context) (int, error) {
-	cl, err := b.client(ctx)
-	if err != nil {
-		return 0, err
-	}
-	n, err := cl.Drain(ctx)
-	if err != nil {
-		b.dropIf(cl)
-		return 0, err
-	}
-	return n, nil
+	return exchange(ctx, b, func(cl *netproto.FleetClient) (int, error) {
+		return cl.Drain(ctx)
+	})
 }
 
 // Close implements Backend.

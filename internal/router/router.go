@@ -65,12 +65,9 @@ type Config struct {
 	// couple of failed exchanges open the breaker, and its half-open
 	// probes re-admit the node when it answers again.
 	Breaker resilience.BreakerConfig
-	// Codec selects the wire codec negotiated with each node: ""
-	// (default) offers the binary codec and falls back to JSON against
-	// nodes that don't speak it, netproto.CodecJSON pins plain JSON (no
-	// hello), netproto.CodecBinary requires binary (exchanges fail
-	// against a JSON-only node). Mixed fleets are fine — the codec is
-	// per-connection and changes nothing about the results.
+	// Codec names the wire codec spoken to each node. locb1 is the only
+	// one, so New accepts only "" and netproto.CodecBinary; the field
+	// remains because callers (the perfbench harness) set it explicitly.
 	Codec string
 	// PushWindow bounds the pipelined in-flight exchanges per node
 	// connection (default netproto.DefaultPushWindow).
@@ -110,8 +107,8 @@ type Result struct {
 	Degraded       bool
 	DegradedReason string
 	// Fixes are the location fixes this batch completed on the serving
-	// node, bit-identical to a local session (JSON carries float64
-	// exactly).
+	// node, bit-identical to a local session (locb1 carries raw float64
+	// bits).
 	Fixes []netproto.PushFix
 	// Err is this beacon's failure: ErrNoNodes, the batch context's
 	// error, or a per-beacon ingest error from the serving node. The
@@ -156,11 +153,14 @@ type Router struct {
 }
 
 // New builds a router over netproto fleet servers at addrs. Connections
-// are dialed lazily on first use — negotiating cfg.Codec and then kept
-// open across batches — so nodes may come up after the router.
-// Addresses must be distinct — they are the ring identities.
+// are dialed lazily on first use and then kept open across batches, so
+// nodes may come up after the router. Addresses must be distinct — they
+// are the ring identities.
 func New(addrs []string, cfg Config) (*Router, error) {
-	dialCfg := netproto.FleetDialConfig{Codec: cfg.Codec, Window: cfg.PushWindow}
+	if cfg.Codec != "" && cfg.Codec != netproto.CodecBinary {
+		return nil, fmt.Errorf("router: codec %q: nodes speak only %s", cfg.Codec, netproto.CodecBinary)
+	}
+	dialCfg := netproto.FleetDialConfig{Window: cfg.PushWindow}
 	dials := make([]*dialBackend, len(addrs))
 	backends := make([]Backend, len(addrs))
 	for i, a := range addrs {

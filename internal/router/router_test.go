@@ -64,7 +64,7 @@ func clusterAddrs(nodes []*testNode) []string {
 
 // localReplay is the ground truth: one uninterrupted standalone session
 // fed the stream sequentially, fixes in wire shape for struct-equality
-// comparison (JSON carries float64 exactly, so wire == local bit for
+// comparison (locb1 carries raw float64 bits, so wire == local bit for
 // bit).
 func localReplay(t *testing.T, eng *core.Engine, beacon string, stream []fleet.Obs) []netproto.PushFix {
 	t.Helper()
@@ -439,6 +439,57 @@ func TestRouterDeadNodeFailover(t *testing.T) {
 	}
 }
 
+// TestRouterIdleConnectionRedials: a node closes a router connection
+// that stays idle past netproto.FrameTimeout. The next push must notice
+// before writing, redial the same node and carry on — not fail over to
+// a cold session elsewhere.
+func TestRouterIdleConnectionRedials(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	nodes := startCluster(t, 2, nil)
+	r, err := New(clusterAddrs(nodes), Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer r.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	eng, err := core.NewEngine(core.DefaultConfig())
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	defer eng.Close()
+
+	const n, slice = 96, 16
+	stream := fleet.SynthStream("idle-1", n, 0.4)
+	var got []netproto.PushFix
+	home := ""
+	for lo := 0; lo < n; lo += slice {
+		if lo == slice {
+			time.Sleep(netproto.FrameTimeout + time.Second) // the node closes the idle connection
+		}
+		res, err := r.PushBatch(ctx, stream[lo:lo+slice])
+		if err != nil {
+			t.Fatalf("PushBatch @%d: %v", lo, err)
+		}
+		if len(res) != 1 || res[0].Err != nil {
+			t.Fatalf("PushBatch @%d = %+v", lo, res)
+		}
+		if home == "" {
+			home = res[0].Node
+		}
+		if res[0].Node != home || res[0].Degraded {
+			t.Fatalf("push @%d served by %s (degraded %v), want home node %s", lo, res[0].Node, res[0].Degraded, home)
+		}
+		got = append(got, res[0].Fixes...)
+	}
+	requireSameFixes(t, "idle-1", got, localReplay(t, eng, "idle-1", stream))
+	for _, ns := range r.Nodes() {
+		if ns.State != "up" {
+			t.Errorf("node %s is %q after an idle close, want up", ns.Addr, ns.State)
+		}
+	}
+}
+
 // TestRouterNoUsableNodes: with every node out of the ring, PushBatch
 // still answers per beacon — each result carries ErrNoNodes instead of
 // the whole batch erroring.
@@ -505,7 +556,8 @@ func TestRouterClosed(t *testing.T) {
 }
 
 // TestRouterConfigValidation: the address list is the cluster identity —
-// empty, blank, and duplicate entries are construction errors.
+// empty, blank, and duplicate entries are construction errors — and
+// locb1 is the only codec a router speaks.
 func TestRouterConfigValidation(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
 		t.Error("New(nil) succeeded")
@@ -516,4 +568,12 @@ func TestRouterConfigValidation(t *testing.T) {
 	if _, err := New([]string{"a:1", "a:1"}, Config{}); err == nil {
 		t.Error("New with duplicate addresses succeeded")
 	}
+	if _, err := New([]string{"a:1"}, Config{Codec: "json"}); err == nil {
+		t.Error("New with a codec other than locb1 succeeded")
+	}
+	r, err := New([]string{"a:1"}, Config{Codec: netproto.CodecBinary})
+	if err != nil {
+		t.Fatalf("New with Codec %s: %v", netproto.CodecBinary, err)
+	}
+	r.Close()
 }

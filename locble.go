@@ -35,7 +35,6 @@ import (
 	"locble/internal/estimate"
 	"locble/internal/fleet"
 	"locble/internal/imu"
-	"locble/internal/netproto"
 	"locble/internal/obs"
 	"locble/internal/rf"
 	"locble/internal/router"
@@ -541,7 +540,7 @@ type (
 	// Router is the consistent-hash fan-out over fleet servers.
 	Router = router.Router
 	// RouterConfig configures a Router (virtual nodes, ring seed,
-	// per-node circuit breaker, wire codec, pipelining window).
+	// per-node circuit breaker, pipelining window).
 	RouterConfig = router.Config
 	// RouterResult is one beacon's merged outcome of a routed
 	// PushBatch.
@@ -549,19 +548,6 @@ type (
 	// RouterNodeStatus is one node's membership view (up / probing /
 	// down / drained).
 	RouterNodeStatus = router.NodeStatus
-)
-
-// Wire codec names for RouterConfig.Codec and the -codec CLI flag. The
-// zero value ("") negotiates CodecBinary with transparent fallback to
-// CodecJSON against peers that don't speak it.
-const (
-	// CodecJSON is the length-prefixed JSON wire codec every release
-	// speaks — the interoperability baseline.
-	CodecJSON = netproto.CodecJSON
-	// CodecBinary is the negotiated little-endian binary codec
-	// ("locb1"): the same exchanges in a fraction of the bytes and
-	// allocations, bit-identical results.
-	CodecBinary = netproto.CodecBinary
 )
 
 // NewRouter builds a router over the netproto fleet servers at addrs.
