@@ -135,6 +135,17 @@ func (h Health) clone() Health {
 	return out
 }
 
+// merge returns a copy of h that also carries o's reasons and dropped
+// count — a tracked fix's trace health plus its session's.
+func (h Health) merge(o Health) Health {
+	out := h.clone()
+	for _, r := range o.Reasons {
+		out.degrade(r)
+	}
+	out.Dropped += o.Dropped
+	return out
+}
+
 // add records a reason once.
 func (h *Health) add(r HealthReason) {
 	if !h.Has(r) {

@@ -176,19 +176,3 @@ func (e *Engine) tryRSSOnly(tr *sim.Trace, beaconName string, cause error) (*Mea
 	e.met.modeRSSOnly.Inc()
 	return m, true
 }
-
-// staleFixFrom re-emits a previous fix at time tEnd as the ladder's
-// bottom rung. The estimate pointer is shared (the fix is literally the
-// old one); the health is a cloned copy degraded with stale-fix.
-func staleFixFrom(prev *TrackPoint, tEnd float64, base Health) TrackPoint {
-	h := base.clone()
-	h.degrade(ReasonStaleFix)
-	return TrackPoint{
-		T:           tEnd,
-		Est:         prev.Est,
-		WindowStart: prev.WindowStart,
-		Samples:     0,
-		Mode:        ModeLastKnown,
-		Health:      h,
-	}
-}

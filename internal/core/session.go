@@ -58,8 +58,10 @@ type TrackSessionConfig struct {
 	// Beacon names the tracked beacon (for bookkeeping; the session
 	// consumes already-demultiplexed observations).
 	Beacon string
-	// Window and Step mirror TrackBeacon: a fix every Step seconds,
-	// fitted on the last Window seconds. Zero selects 6 s / 2 s.
+	// Window and Step set the fix schedule: a fix every Step seconds,
+	// fitted on the last Window seconds. Zero selects 6 s / 2 s; a
+	// negative value is ErrSessionConfig. TrackBeacon's arguments land
+	// here too.
 	Window, Step float64
 	// SampleRateHz is the RSS report rate the streaming ANF is designed
 	// for (zero selects the pipeline default of 9 Hz).
@@ -70,14 +72,15 @@ type TrackSessionConfig struct {
 	Estimator *estimate.Config
 }
 
-// TrackSession is the streaming counterpart of TrackBeacon: a
-// long-running server feeds fused observations in one at a time and
-// receives a location fix whenever a window completes. All filter state
-// is held incrementally — the streaming BF+AKF cascade, the EnvAware
-// change monitor, and the sliding observation window — so the session
-// can be checkpointed at any observation boundary and restored in a
-// fresh process, resuming sample-for-sample: every fix after the
-// restore is bit-identical to the uninterrupted run's.
+// TrackSession is the tracker: a long-running server feeds fused
+// observations in one at a time and receives a location fix whenever a
+// window completes, and TrackBeacon replays a whole trace through one.
+// All filter state is held incrementally — the streaming BF+AKF
+// cascade, the EnvAware change monitor, and the sliding observation
+// window — so the session can be checkpointed at any observation
+// boundary and restored in a fresh process, resuming sample-for-sample:
+// every fix after the restore is bit-identical to the uninterrupted
+// run's.
 //
 // A session is owned by one goroutine (one per tracked beacon); it is
 // not safe for concurrent Push calls.
@@ -152,7 +155,7 @@ func (e *Engine) NewTrackSession(cfg TrackSessionConfig) (*TrackSession, error) 
 	if cfg.Estimator != nil {
 		estCfg = *cfg.Estimator
 	}
-	estCfg.Cancel = nil // sessions are push-driven; nothing to cancel mid-fit
+	estCfg.Cancel = nil // live sessions are push-driven; a replay sets its own
 
 	s := &TrackSession{
 		eng:        e,
@@ -246,6 +249,31 @@ func (s *TrackSession) Push(o estimate.Obs) (*TrackPoint, error) {
 	for s.nextFix <= o.T {
 		s.nextFix += s.step
 	}
+	return s.fix(tEnd)
+}
+
+// finish closes a replayed trace: its end reaches the next due time, so
+// the fix due then is emitted when observations arrived after the last
+// due time, or when no fix has been due yet (a trace shorter than one
+// window). A trace whose newest observation sits on the last due time —
+// Push stepped the schedule on from it — was closed by that window.
+func (s *TrackSession) finish() (*TrackPoint, error) {
+	if len(s.buf) == 0 {
+		return nil, nil
+	}
+	dueYet := s.nextFix != s.firstT+s.window
+	if dueYet && s.buf[len(s.buf)-1].T+s.step == s.nextFix {
+		return nil, nil
+	}
+	return s.fix(s.nextFix)
+}
+
+// fix fits the current window as the fix due at tEnd: the paper's
+// regression, mirror ambiguity resolved against the previous fix, the
+// Γ-drift detector fed — or, when the window is too thin or fits badly,
+// the ladder's last-known rung. A canceled fit returns
+// estimate.ErrCanceled rather than counting as a bad window.
+func (s *TrackSession) fix(tEnd float64) (*TrackPoint, error) {
 	if len(s.buf) < s.estCfg.MinSamples {
 		return s.staleFix(tEnd), nil
 	}
@@ -253,22 +281,16 @@ func (s *TrackSession) Push(o estimate.Obs) (*TrackPoint, error) {
 	spReg := s.eng.met.stRegress.Start()
 	est, err := estimate.Run(s.buf, s.estCfg)
 	spReg.End()
+	if errors.Is(err, estimate.ErrCanceled) {
+		return nil, err
+	}
 	if err != nil || !finiteEstimate(est) {
 		// A window that fits badly yields no full fix; the ladder's
 		// bottom rung re-emits the last real fix while it is fresh.
 		return s.staleFix(tEnd), nil
 	}
 	if est.Ambiguous && s.last != nil {
-		prev := estimate.Candidate{X: s.last.Est.X, H: s.last.Est.H}
-		best := est.Candidates[0]
-		for _, c := range est.Candidates[1:] {
-			if c.Dist(prev) < best.Dist(prev) {
-				best = c
-			}
-		}
-		resolved := *est
-		resolved.X, resolved.H = best.X, best.H
-		est = &resolved
+		est = est.Nearest(estimate.Candidate{X: s.last.Est.X, H: s.last.Est.H})
 	}
 	s.noteGamma(est.Gamma)
 	pt := TrackPoint{
@@ -285,11 +307,11 @@ func (s *TrackSession) Push(o estimate.Obs) (*TrackPoint, error) {
 	return &pt, nil
 }
 
-// staleFix is the streaming last-known rung: when a due window produced
-// no full fix, re-emit the previous real fix while it is within the
-// staleness bound. Beyond the bound the tracking state is evicted — an
-// ancient fix must neither be shown nor steer later mirror-ambiguity
-// resolution.
+// staleFix is the last-known rung: when a due window produced no full
+// fix, re-emit the previous real fix (its estimate, no window samples,
+// health degraded with stale-fix) while it is within the staleness
+// bound. Beyond the bound the tracking state is evicted — an ancient fix
+// must neither be shown nor steer later mirror-ambiguity resolution.
 func (s *TrackSession) staleFix(tEnd float64) *TrackPoint {
 	lad := s.eng.cfg.Ladder.withDefaults()
 	if lad.DisableLastKnown || s.last == nil {
@@ -301,11 +323,18 @@ func (s *TrackSession) staleFix(tEnd float64) *TrackPoint {
 		s.eng.met.sessEvicted.Inc()
 		return nil
 	}
-	pt := staleFixFrom(s.last, tEnd, s.health())
+	h := s.health()
+	h.degrade(ReasonStaleFix)
 	s.fixes++
 	s.eng.met.sessFixes.Inc()
 	s.eng.met.modeLastKnown.Inc()
-	return &pt
+	return &TrackPoint{
+		T:           tEnd,
+		Est:         s.last.Est,
+		WindowStart: s.last.WindowStart,
+		Mode:        ModeLastKnown,
+		Health:      h,
+	}
 }
 
 // TX-power-drift detection: a dying battery shifts the beacon's real
@@ -313,9 +342,12 @@ func (s *TrackSession) staleFix(tEnd float64) *TrackPoint {
 // The detector keeps a short running window of fitted Γ values; when
 // their median leaves the plausibility band's center by more than the
 // threshold, the band is re-anchored around the drifted value so the
-// estimator's prior stops fighting the data. The threshold exceeds the
-// normal fitted-Γ-to-band-center offset of a healthy beacon, so clean
-// sessions never recalibrate.
+// estimator's prior stops fighting the data. The threshold was meant to
+// exceed a healthy beacon's normal fitted-Γ-to-band-center offset, but
+// clean streams cross it too: every fleet.SynthStream session
+// recalibrates, and so do some clean simulated patrols, NLOS ones most
+// often. These false alarms are measured in DESIGN.md § TX-power-drift
+// recalibration; fixing the detector changes served fixes.
 const (
 	driftHistLen     = 8
 	driftMinFixes    = 5

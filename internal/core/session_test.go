@@ -75,6 +75,38 @@ func pushAll(t *testing.T, s *TrackSession, obs []estimate.Obs) []TrackPoint {
 	return fixes
 }
 
+// TestSessionFinish pins the replay's closing rule. sessionObs steps
+// 1/8 s from t = 0, so a 6 s window first comes due exactly at the
+// 49th observation and then every 2 s.
+func TestSessionFinish(t *testing.T) {
+	eng, err := NewEngine(DefaultConfig())
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for _, tc := range []struct {
+		n     int
+		wantT float64 // 0: finish emits nothing
+		why   string
+	}{
+		{40, 6, "no window due yet: the first due fix"},
+		{49, 0, "the newest observation closed the window due at 6 s"},
+		{50, 8, "an observation after the last due time: the fix due next"},
+	} {
+		s := newSession(t, eng)
+		pushAll(t, s, sessionObs(tc.n))
+		pt, err := s.finish()
+		if err != nil {
+			t.Fatalf("n=%d: finish: %v", tc.n, err)
+		}
+		switch {
+		case tc.wantT == 0 && pt != nil:
+			t.Errorf("n=%d (%s): finish emitted a fix at %v", tc.n, tc.why, pt.T)
+		case tc.wantT != 0 && (pt == nil || pt.T != tc.wantT || pt.Mode != ModeFull):
+			t.Errorf("n=%d (%s): finish = %+v, want a full fix at %v", tc.n, tc.why, pt, tc.wantT)
+		}
+	}
+}
+
 // TestTrackSessionCheckpointRestore is the kill-and-restart test: a
 // session checkpointed mid-stream (through a full JSON round trip, as a
 // fresh process would see it) and restored on a different Engine must

@@ -3,15 +3,16 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
 
 	"locble/internal/estimate"
 	"locble/internal/sim"
 )
 
-// TrackPoint is one sliding-window fix produced by TrackBeacon.
+// TrackPoint is one sliding-window fix produced by a TrackSession (and
+// so by TrackBeacon, which replays a trace through one).
 type TrackPoint struct {
-	// T is the window's end time (seconds into the trace).
+	// T is the fix's due time on the schedule (seconds into the trace);
+	// its window ends at the observation that reached T.
 	T float64
 	// Est is the estimate fitted on the window. For a stationary beacon
 	// successive fixes should agree; for a moving target each fix
@@ -22,8 +23,10 @@ type TrackPoint struct {
 	WindowStart float64
 	// Samples used in the window.
 	Samples int
-	// Health is the trace-level degradation report (shared by every fix
-	// of the run); stale re-emitted fixes carry their own degraded copy.
+	// Health is the fix's own degradation report: TrackBeacon's fixes
+	// carry the trace health plus the session's reasons (dropped
+	// readings, txpower-drift, stale-beacon, and stale-fix on a
+	// re-emitted fix).
 	Health Health
 	// Mode identifies which degradation-ladder rung produced this fix:
 	// ModeFull for a window that fitted, ModeLastKnown for a re-emitted
@@ -33,15 +36,16 @@ type TrackPoint struct {
 
 // TrackBeacon runs sliding-window estimation over a trace: a fix every
 // step seconds, each fitted on the most recent window seconds of fused
-// RSS + motion data. This is the "tracking" in the paper's title — a
-// stream of location fixes rather than one measurement — and also what
-// the navigation UI consumes while the user keeps moving.
+// RSS + motion data (zero selects 6 s / 2 s, as for a TrackSession).
+// This is the "tracking" in the paper's title — a stream of location
+// fixes rather than one measurement — and also what the navigation UI
+// consumes while the user keeps moving.
 func (e *Engine) TrackBeacon(tr *sim.Trace, beaconName string, window, step float64) ([]TrackPoint, error) {
 	return e.TrackBeaconContext(context.Background(), tr, beaconName, window, step)
 }
 
 // TrackBeaconContext is TrackBeacon under a context: a deadline or
-// cancellation stops the run between windows and interrupts the
+// cancellation stops the replay between observations and interrupts the
 // per-window regression mid-search. A canceled run returns an error
 // matching the context error under errors.Is (no partial fixes).
 func (e *Engine) TrackBeaconContext(ctx context.Context, tr *sim.Trace, beaconName string, window, step float64) ([]TrackPoint, error) {
@@ -61,87 +65,54 @@ func (e *Engine) TrackBeaconContext(ctx context.Context, tr *sim.Trace, beaconNa
 	return pts, nil
 }
 
-// trackBeacon is the uninstrumented body behind TrackBeacon.
+// trackBeacon is the uninstrumented body behind TrackBeacon: Locate's
+// front half (sanitize, motion, zero-phase ANF, fusion), then a replay
+// of the fused observations through a TrackSession, so batch and live
+// tracking share one window schedule, mirror resolution, Γ-drift
+// detector and last-known rung. The replay needs neither of the
+// session's causal filters — the RSS is already zero-phase filtered,
+// and batch tracking does not restart windows on an EnvAware change.
 func (e *Engine) trackBeacon(ctx context.Context, tr *sim.Trace, beaconName string, window, step float64) ([]TrackPoint, error) {
-	if window <= 0 {
-		window = 6
-	}
-	if step <= 0 {
-		step = 2
-	}
-
 	sc := getLocateScratch()
 	defer putLocateScratch(sc)
 	p, err := e.prepare(tr, beaconName, sc)
 	if err != nil {
 		return nil, err
 	}
-	fused, estCfg := p.fused, p.estCfg
-	estCfg.Cancel = cancelFromCtx(ctx)
+	s, err := e.NewTrackSession(TrackSessionConfig{
+		Beacon:    beaconName,
+		Window:    window,
+		Step:      step,
+		Estimator: &p.estCfg,
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.akf, s.mon = nil, nil
+	s.estCfg.Cancel = cancelFromCtx(ctx)
 
-	lad := e.cfg.Ladder.withDefaults()
 	var points []TrackPoint
-	lastReal := -1 // index of the last full-fusion fix in points
-	end := p.times[len(p.times)-1]
-	for tEnd := math.Min(p.times[0]+window, end); ; tEnd += step {
-		if ctx.Err() != nil {
-			return nil, canceledErr(ctx, "track")
+	emit := func(pt *TrackPoint, err error) error {
+		if errors.Is(err, estimate.ErrCanceled) || ctx.Err() != nil {
+			return canceledErr(ctx, "track")
 		}
-		lo, hi := 0, len(fused)
-		for lo < len(fused) && fused[lo].T < tEnd-window {
-			lo++
+		if err != nil {
+			return err
 		}
-		for hi > 0 && fused[hi-1].T > tEnd {
-			hi--
+		if pt != nil {
+			fix := *pt
+			fix.Health = p.health.merge(pt.Health)
+			points = append(points, fix)
 		}
-		fitted := false
-		if hi-lo >= estCfg.MinSamples {
-			winObs := fused[lo:hi]
-			spReg := e.met.stRegress.Start()
-			est, err := sc.solver.Run(winObs, estCfg)
-			spReg.End()
-			if errors.Is(err, estimate.ErrCanceled) {
-				return nil, canceledErr(ctx, "track")
-			}
-			if err == nil && finiteEstimate(est) {
-				if est.Ambiguous {
-					// Resolve against the previous fix when available.
-					if len(points) > 0 {
-						prev := estimate.Candidate{X: points[len(points)-1].Est.X, H: points[len(points)-1].Est.H}
-						best := est.Candidates[0]
-						for _, c := range est.Candidates[1:] {
-							if c.Dist(prev) < best.Dist(prev) {
-								best = c
-							}
-						}
-						resolved := *est
-						resolved.X, resolved.H = best.X, best.H
-						est = &resolved
-					}
-				}
-				points = append(points, TrackPoint{
-					T:           tEnd,
-					Est:         est,
-					WindowStart: winObs[0].T,
-					Samples:     len(winObs),
-					Health:      p.health,
-					Mode:        ModeFull,
-				})
-				lastReal = len(points) - 1
-				fitted = true
-			}
+		return nil
+	}
+	for _, o := range p.fused {
+		if err := emit(s.Push(o)); err != nil {
+			return nil, err
 		}
-		// Degradation ladder, bottom rung: a window with no usable fit
-		// re-emits the last real fix while it is still fresh, so the fix
-		// stream does not silently gap during a dropout burst.
-		if !fitted && !lad.DisableLastKnown && lastReal >= 0 &&
-			tEnd-points[lastReal].T <= lad.StaleMaxAge {
-			points = append(points, staleFixFrom(&points[lastReal], tEnd, p.health))
-			e.met.modeLastKnown.Inc()
-		}
-		if tEnd >= end {
-			break
-		}
+	}
+	if err := emit(s.finish()); err != nil {
+		return nil, err
 	}
 	if len(points) == 0 {
 		return nil, rejectedErr(p.health, ReasonNoEstimate, ErrNoEstimate)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -79,6 +80,47 @@ func TestTrackBeaconErrors(t *testing.T) {
 	}
 	if _, err := eng.TrackBeacon(tr, "nope", 6, 2); err == nil {
 		t.Error("want error for unknown beacon")
+	}
+	// The replay session owns the window/step defaults: zero selects
+	// them, a negative value is a configuration error.
+	for _, ws := range [][2]float64{{-6, 2}, {6, -2}} {
+		if _, err := eng.TrackBeacon(tr, "target", ws[0], ws[1]); !errors.Is(err, ErrSessionConfig) {
+			t.Errorf("TrackBeacon(window=%g, step=%g) = %v, want ErrSessionConfig", ws[0], ws[1], err)
+		}
+	}
+}
+
+// TestTrackBeaconShortTrace: a trace shorter than one window still
+// yields its fix — closing the replay emits the first due window,
+// fitted on every fused observation.
+func TestTrackBeaconShortTrace(t *testing.T) {
+	eng, err := NewEngine(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sim.Run(lshapeScenario(6, 3, sim.StaticEnv(rf.LOS), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := tr.Duration + 10
+	pts, err := eng.TrackBeacon(tr, "target", window, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := getLocateScratch()
+	defer putLocateScratch(sc)
+	p, err := eng.prepare(tr, "target", sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 1 || pts[0].Mode != ModeFull {
+		t.Fatalf("got %d fixes (first mode %v), want exactly one full fix", len(pts), pts[0].Mode)
+	}
+	if got, want := pts[0].Samples, len(p.fused); got != want {
+		t.Errorf("fix fitted %d samples, want all %d fused observations", got, want)
+	}
+	if got, want := pts[0].T, p.times[0]+window; got != want {
+		t.Errorf("fix T = %v, want the first due time %v", got, want)
 	}
 }
 

@@ -99,6 +99,23 @@ type Estimate struct {
 // Range returns the estimated distance from the observer's origin.
 func (e *Estimate) Range() float64 { return math.Hypot(e.X, e.H) }
 
+// Nearest resolves mirror ambiguity against an outside reference: it
+// returns a copy of the estimate placed at the candidate nearest ref
+// (the first of equally near candidates wins). The L-shape pairs the
+// full fit with its legs' intersection this way, and a track pairs each
+// window with its previous fix. Every other field, Candidates and
+// Ambiguous included, is kept.
+func (e *Estimate) Nearest(ref Candidate) *Estimate {
+	out := *e
+	bd := math.Inf(1)
+	for _, c := range e.Candidates {
+		if d := c.Dist(ref); d < bd {
+			out.X, out.H, bd = c.X, c.H, d
+		}
+	}
+	return &out
+}
+
 // Config tunes the estimator.
 type Config struct {
 	// NMin, NMax bound the fading coefficient (physical indoor exponents

@@ -256,6 +256,28 @@ func TestCandidateDist(t *testing.T) {
 	}
 }
 
+// TestEstimateNearest: mirror resolution moves a copy to the candidate
+// nearest the reference (the first of equally near ones) and leaves
+// the receiver and every other field alone.
+func TestEstimateNearest(t *testing.T) {
+	e := &Estimate{
+		X: 4, H: 3,
+		Candidates: []Candidate{{X: 4, H: 3}, {X: 4, H: -3}},
+		Gamma:      -60,
+		Ambiguous:  true,
+	}
+	got := e.Nearest(Candidate{X: 5, H: -2})
+	if got.X != 4 || got.H != -3 || got.Gamma != -60 || !got.Ambiguous || len(got.Candidates) != 2 {
+		t.Errorf("Nearest(below) = %+v, want the copy moved to (4, -3)", got)
+	}
+	if e.X != 4 || e.H != 3 {
+		t.Errorf("Nearest mutated its receiver: (%g, %g)", e.X, e.H)
+	}
+	if tie := e.Nearest(Candidate{X: 4, H: 0}); tie.H != 3 {
+		t.Errorf("equidistant reference picked H = %g, want the first candidate", tie.H)
+	}
+}
+
 // Property: for any target position and exponent, a noise-free L-shape
 // regression recovers the position to within centimetres.
 func TestPropertyExactRecoveryQuick(t *testing.T) {

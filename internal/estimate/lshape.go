@@ -57,10 +57,7 @@ func (s *Solver) RunLShape(obs []Obs, splitT float64, cfg Config) (*LShapeResult
 		if errFull == nil {
 			// Keep the full fit if it lands near the resolved candidate;
 			// among mirror candidates of the full fit pick the closest.
-			pick := nearestCandidate(full.Candidates, resolved)
-			chosen := *full
-			chosen.X, chosen.H = pick.X, pick.H
-			res.Final = &chosen
+			res.Final = full.Nearest(resolved)
 			return res, nil
 		}
 		// Fall back to the intersection alone, confidence-weighted.
@@ -107,16 +104,4 @@ func closestPair(as, bs []Candidate) (Candidate, Candidate, float64) {
 		}
 	}
 	return ba, bb, best
-}
-
-// nearestCandidate picks the candidate closest to ref.
-func nearestCandidate(cands []Candidate, ref Candidate) Candidate {
-	best := cands[0]
-	bd := best.Dist(ref)
-	for _, c := range cands[1:] {
-		if d := c.Dist(ref); d < bd {
-			best, bd = c, d
-		}
-	}
-	return best
 }

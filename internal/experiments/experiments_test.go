@@ -104,6 +104,45 @@ func TestFig4FilteringImproves(t *testing.T) {
 	}
 }
 
+// TestTrackingAccuracyFloor pins batch-tracking accuracy at seed 1 with
+// full trials: the fix counts, and each error metric at most the
+// benchmark's 0.12 m error bound above its value before TrackBeacon
+// became a session replay (1.86 m mean fix error, 3.51 m RMSE).
+func TestTrackingAccuracyFloor(t *testing.T) {
+	for _, tc := range []struct {
+		run      func(Options) (*Table, error)
+		metric   string
+		minFixes float64
+		maxErr   float64
+	}{
+		{ExtTracking, "mean fix error", 88, 1.98},
+		{ExtTrackingMoving, "trajectory RMSE", 40, 3.63},
+	} {
+		tab, err := tc.run(Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		value := func(metric string) float64 {
+			t.Helper()
+			for _, row := range tab.Rows {
+				if row[0] == metric {
+					if v, err := strconv.ParseFloat(strings.Fields(row[1])[0], 64); err == nil {
+						return v
+					}
+				}
+			}
+			t.Fatalf("%s: no numeric %q row in %v", tab.ID, metric, tab.Rows)
+			return 0
+		}
+		if fixes := value("fixes"); fixes < tc.minFixes {
+			t.Errorf("%s: %g fixes, want at least %g", tab.ID, fixes, tc.minFixes)
+		}
+		if e := value(tc.metric); e > tc.maxErr {
+			t.Errorf("%s: %s %.2f m, want at most %.2f m", tab.ID, tc.metric, e, tc.maxErr)
+		}
+	}
+}
+
 func TestTable1CoversNineEnvironments(t *testing.T) {
 	tab, err := Table1Environments(quickOpt())
 	if err != nil {

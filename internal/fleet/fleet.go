@@ -229,7 +229,9 @@ func New(eng *core.Engine, cfg Config) (*Fleet, error) {
 // Result per distinct beacon (in first-appearance order). Observations
 // are grouped by beacon and each group lands on its session in input
 // order, so the results are bit-identical to pushing the same
-// observations into per-beacon sessions sequentially.
+// observations into per-beacon sessions sequentially. By the time it
+// returns, the idle sweeps the batch triggered have finished, so the
+// lifecycle metrics balance.
 func (f *Fleet) PushBatch(obs []Obs) ([]Result, error) {
 	return f.PushBatchContext(context.Background(), obs)
 }
@@ -397,8 +399,11 @@ func (sh *shard) run() {
 		if b.drain != nil {
 			sh.drainAll(b.drain)
 		}
-		b.wg.Done()
+		// Sweep before releasing the submitter: when a push returns, the
+		// evictions its observations triggered are done and the
+		// lifecycle counters balance.
 		sh.sweep()
+		b.wg.Done()
 	}
 	// Fleet closing: checkpoint everything still resident.
 	for name, se := range sh.sessions {

@@ -273,6 +273,52 @@ func TestPushBatchCanceledUnderBackpressure(t *testing.T) {
 	}
 }
 
+// slowSaveStore delays every Save, holding an idle sweep mid-eviction
+// long enough for a caller that returned early to observe it.
+type slowSaveStore struct{ CheckpointStore }
+
+func (s slowSaveStore) Save(beacon string, cp *core.SessionCheckpoint) error {
+	time.Sleep(50 * time.Millisecond)
+	return s.CheckpointStore.Save(beacon, cp)
+}
+
+// TestPushBatchReturnsAfterItsSweep: the eviction sweep a push triggers
+// finishes before the push returns, so the lifecycle counters balance
+// the moment PushBatch does — the books a reader checks right after a
+// push must not depend on a sweep still checkpointing in the
+// background.
+func TestPushBatchReturnsAfterItsSweep(t *testing.T) {
+	eng := newTestEngine(t)
+	fl, err := New(eng, Config{
+		Shards:     1,
+		Session:    testSession(),
+		Store:      slowSaveStore{NewMemStore()},
+		IdleMaxAge: 2,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer fl.Close()
+
+	if _, err := fl.PushBatch([]Obs{
+		{Beacon: "old", T: 0, RSS: -60},
+		{Beacon: "new", T: 0.1, RSS: -60},
+	}); err != nil {
+		t.Fatalf("PushBatch: %v", err)
+	}
+	// "old" is now 10 s idle, past the 2 s horizon: this push's sweep
+	// evicts it.
+	if _, err := fl.PushBatch([]Obs{{Beacon: "new", T: 10, RSS: -60}}); err != nil {
+		t.Fatalf("PushBatch: %v", err)
+	}
+	snap := fl.Metrics()
+	evicted, cps := snap.Counters["fleet.sessions.evicted"], snap.Counters["fleet.checkpoints.written"]
+	if evicted != 1 || cps != 1 || fl.Sessions() != 1 {
+		t.Fatalf("right after the push: evicted=%d checkpoints=%d live=%d, want 1, 1 and 1",
+			evicted, cps, fl.Sessions())
+	}
+}
+
 // TestShardSessionCap: the per-shard cap rejects the overflow beacon
 // with ErrShardFull while resident beacons keep ingesting.
 func TestShardSessionCap(t *testing.T) {

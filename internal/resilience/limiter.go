@@ -9,8 +9,7 @@ import (
 // remain, and tokens refill continuously at Rate per second up to
 // Burst. A connection-accept loop calls Allow once per connection;
 // denials are shed (counted in "resilience.limiter.denied"), never
-// queued — the bucket bounds *rate*, the Queue bounds *backlog*.
-// Safe for concurrent use.
+// queued — the bucket bounds *rate*. Safe for concurrent use.
 type TokenBucket struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second; <= 0 means unlimited

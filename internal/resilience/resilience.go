@@ -1,13 +1,13 @@
 // Package resilience provides the lifecycle and overload-control
 // primitives LocBLE's long-running serving path is built on: a
-// failure-rate circuit breaker, a token-bucket admission limiter, a
-// bounded work queue with load shedding, watchdog timers, and a
-// panic-isolating supervisor with restart backoff.
+// failure-rate circuit breaker, a token-bucket admission limiter,
+// watchdog timers, and a panic-isolating supervisor with restart
+// backoff.
 //
 // The primitives are deliberately dependency-free (stdlib + the obs
 // metrics layer) and clock-injectable, so overload and recovery
 // behaviour is testable deterministically. netproto threads them
-// through its trace-exchange and stream servers; anything long-running
+// through its server and clients; anything long-running
 // (a soak harness, a daemonized CLI) can reuse them directly.
 package resilience
 
@@ -18,16 +18,15 @@ import (
 )
 
 // Typed errors. Callers branch on these to tell "shed under load" apart
-// from "dependency failing" apart from "shutting down".
+// from "dependency failing".
 var (
-	// ErrOverloaded is returned when admission control sheds work: the
-	// bounded queue is full or the token bucket is empty. The request was
-	// never started — safe to retry elsewhere or later.
+	// ErrOverloaded reports work shed by admission control: a server at
+	// its connection cap or out of TokenBucket tokens answers
+	// "overloaded", and clients surface that as this error. The request
+	// was never started — safe to retry elsewhere or later.
 	ErrOverloaded = errors.New("resilience: overloaded")
 	// ErrCircuitOpen is returned by a Breaker while it is failing fast.
 	ErrCircuitOpen = errors.New("resilience: circuit open")
-	// ErrQueueClosed is returned by a Queue after Close has begun.
-	ErrQueueClosed = errors.New("resilience: queue closed")
 )
 
 // Package-wide instrumentation, recorded into obs.Default (the
@@ -36,7 +35,6 @@ var (
 	metBreakerToOpen     = obs.Default.Counter("resilience.breaker.to_open")
 	metBreakerToHalfOpen = obs.Default.Counter("resilience.breaker.to_halfopen")
 	metBreakerToClosed   = obs.Default.Counter("resilience.breaker.to_closed")
-	metQueueShed         = obs.Default.Counter("resilience.queue.shed")
 	metLimiterDenied     = obs.Default.Counter("resilience.limiter.denied")
 	metWatchdogExpired   = obs.Default.Counter("resilience.watchdog.expired")
 	metSupervisorPanics  = obs.Default.Counter("resilience.supervisor.panics")

@@ -351,7 +351,8 @@ type Fix struct {
 
 // Track produces a stream of location fixes over the trace — a fix every
 // step seconds, each fitted on the last window seconds (the "tracking"
-// of the paper's title). Zero values select window = 6 s, step = 2 s.
+// of the paper's title). Zero values select window = 6 s, step = 2 s;
+// negative ones are rejected.
 func (s *System) Track(tr *Trace, beacon string, window, step float64) ([]Fix, error) {
 	return s.TrackCtx(context.Background(), tr, beacon, window, step)
 }
