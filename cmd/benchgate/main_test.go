@@ -107,3 +107,27 @@ func TestGateLooseTolerance(t *testing.T) {
 		t.Fatalf("exit %d with -wall-tol 0.5; stderr: %s", code, errb.String())
 	}
 }
+
+// TestGateDefaultBaseline: with no -baseline, the gate reads
+// BENCH_pr4.json — the committed baseline `make benchgate` gates
+// against — from the working directory.
+func TestGateDefaultBaseline(t *testing.T) {
+	dir := t.TempDir()
+	writeFile(t, dir, "BENCH_pr4.json", baselineJSON)
+	good := writeFile(t, dir, "good.json", goodJSON)
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	var out, errb bytes.Buffer
+	if code := run([]string{"-compare", good}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d with the default baseline; stderr: %s", code, errb.String())
+	}
+	if !bytes.Contains(out.Bytes(), []byte("BENCH_pr4.json")) {
+		t.Errorf("PASS line does not name BENCH_pr4.json: %s", out.String())
+	}
+}

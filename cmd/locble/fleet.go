@@ -30,7 +30,6 @@ func runFleet(beacons int, storeDir string, metricsF, verbose bool) error {
 	if err != nil {
 		return err
 	}
-	defer sys.Close()
 	var store locble.CheckpointStore = locble.NewMemStore()
 	if storeDir != "" {
 		fs, err := locble.NewFileStore(storeDir)

@@ -24,7 +24,6 @@ func runServe(port int, storeDir string) error {
 	if err != nil {
 		return err
 	}
-	defer sys.Close()
 	var store locble.CheckpointStore = locble.NewMemStore()
 	if storeDir != "" {
 		fs, err := locble.NewFileStore(storeDir)
@@ -102,7 +101,6 @@ func runRouter(spec string, beacons int, storeDir, drainAddr string, metricsF, v
 			if err != nil {
 				return err
 			}
-			cleanup = append(cleanup, func() { sys.Close() })
 			fl, err := sys.NewFleet(locble.FleetConfig{
 				Session: locble.TrackSessionConfig{SampleRateHz: 8},
 				Store:   store,

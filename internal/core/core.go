@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"locble/internal/cluster"
 	"locble/internal/env"
@@ -112,17 +113,17 @@ func DefaultConfig() Config {
 
 // Engine is a ready-to-use LocBLE pipeline. The EnvAware classifier is
 // trained once (on the synthetic labelled dataset) and reused; an Engine
-// is safe for concurrent Locate calls. LocateAll fan-outs run on a
-// persistent sharded worker pool started lazily on first use; Close
-// releases it (see pool.go).
+// is safe for concurrent Locate calls. It owns no goroutine: LocateAll
+// fans out per call and joins before it returns, and every pipeline
+// run borrows its solver scratch from estimate's pool.
 type Engine struct {
 	cfg Config
 	clf *env.Classifier
 	met *engineMetrics
-
-	poolMu     sync.Mutex
-	locPool    *shardPool
-	poolClosed bool
+	// lanes counts the goroutines claiming beacons in this engine's
+	// LocateAll calls, callers and helpers alike; a call starts a
+	// helper only while it is below GOMAXPROCS.
+	lanes atomic.Int64
 }
 
 var (
@@ -158,6 +159,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 func NewEngineWithClassifier(cfg Config, clf *env.Classifier) *Engine {
 	return &Engine{cfg: cfg, clf: clf, met: newEngineMetrics()}
 }
+
+// Close does nothing and returns nil: an Engine owns no goroutine or
+// other resource to release. It is kept so existing callers still
+// compile.
+func (e *Engine) Close() error { return nil }
 
 // Measurement is the result of locating one beacon from one trace.
 type Measurement struct {
@@ -210,17 +216,8 @@ func (e *Engine) Locate(tr *sim.Trace, beaconName string) (*Measurement, error) 
 // returns an error matching the context error under errors.Is and is
 // counted in "core.canceled" rather than as a health rejection.
 func (e *Engine) LocateContext(ctx context.Context, tr *sim.Trace, beaconName string) (*Measurement, error) {
-	sc := getLocateScratch()
-	defer putLocateScratch(sc)
-	return e.locateContextWith(ctx, tr, beaconName, sc)
-}
-
-// locateContextWith is LocateContext on caller-provided scratch — the
-// entry point for LocateAll's pool workers, which own a scratch for
-// their whole life instead of borrowing one per call.
-func (e *Engine) locateContextWith(ctx context.Context, tr *sim.Trace, beaconName string, sc *locateScratch) (*Measurement, error) {
 	sp := e.met.locateSpan.Start()
-	m, err := e.locate(ctx, tr, beaconName, sc)
+	m, err := e.locate(ctx, tr, beaconName)
 	sp.End()
 	e.met.locates.Inc()
 	if err != nil {
@@ -236,11 +233,9 @@ func (e *Engine) locateContextWith(ctx context.Context, tr *sim.Trace, beaconNam
 	return m, nil
 }
 
-// locate is the uninstrumented pipeline body behind Locate. All the
-// heavy lifting — the ANF batch filter and the regression — runs on
-// sc's arenas.
-func (e *Engine) locate(ctx context.Context, tr *sim.Trace, beaconName string, sc *locateScratch) (*Measurement, error) {
-	p, err := e.prepare(tr, beaconName, sc)
+// locate is the uninstrumented pipeline body behind Locate.
+func (e *Engine) locate(ctx context.Context, tr *sim.Trace, beaconName string) (*Measurement, error) {
+	p, err := e.prepare(tr, beaconName)
 	if err != nil {
 		// Degradation ladder, rung 2: an unusable inertial stream drops
 		// the pipeline to RSS-only path-loss proximity instead of failing.
@@ -314,7 +309,7 @@ func (e *Engine) locate(ctx context.Context, tr *sim.Trace, beaconName string, s
 	if last := segStarts[len(segStarts)-1]; last > 0 {
 		lastObs := allObs[last:]
 		if len(lastObs) >= 2*e.cfg.MinSegmentSamples {
-			lastEst, lastErr := sc.solver.Run(lastObs, estCfg)
+			lastEst, lastErr := estimate.Run(lastObs, estCfg)
 			if errors.Is(lastErr, estimate.ErrCanceled) {
 				return nil, canceledErr(ctx, "locate")
 			}
@@ -324,7 +319,7 @@ func (e *Engine) locate(ctx context.Context, tr *sim.Trace, beaconName string, s
 		}
 	}
 	if est == nil {
-		joint, jointErr := sc.solver.RunSegmented(allObs, segStarts[1:], estCfg)
+		joint, jointErr := estimate.RunSegmented(allObs, segStarts[1:], estCfg)
 		if jointErr != nil {
 			if errors.Is(jointErr, estimate.ErrCanceled) {
 				return nil, canceledErr(ctx, "locate")
@@ -338,7 +333,7 @@ func (e *Engine) locate(ctx context.Context, tr *sim.Trace, beaconName string, s
 	if est.Ambiguous {
 		if split := firstTurnEnd(p.track, p.times); !math.IsNaN(split) {
 			e.met.lshapeAttempts.Inc()
-			res, lErr := sc.solver.RunLShape(allObs, split, estCfg)
+			res, lErr := estimate.RunLShape(allObs, split, estCfg)
 			if errors.Is(lErr, estimate.ErrCanceled) {
 				return nil, canceledErr(ctx, "locate")
 			}
@@ -385,17 +380,21 @@ func (e *Engine) LocateWithCluster(tr *sim.Trace, targetName string) (*Measureme
 // LocateWithClusterConfig is LocateWithCluster with an explicit
 // calibration configuration (ablation studies sweep the matcher).
 func (e *Engine) LocateWithClusterConfig(tr *sim.Trace, targetName string, ccfg cluster.Config) (*Measurement, *cluster.Result, error) {
-	target, err := e.Locate(tr, targetName)
-	if err != nil {
-		return nil, nil, err
+	if len(tr.Observations[targetName]) == 0 {
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownBeacon, targetName)
 	}
-	tt, trss := tr.RSSSeries(targetName)
-	targetSeq := cluster.Sequence{Name: targetName, T: tt, RSS: trss, Estimate: target.Est}
-
-	// Locate the neighbours concurrently: their pipelines are independent.
-	var cands []cluster.Sequence
+	// One fan-out locates the target and its neighbours together: their
+	// pipelines are independent.
+	var (
+		target *Measurement
+		cands  []cluster.Sequence
+	)
 	for _, res := range e.LocateAll(tr) {
 		if res.Name == targetName {
+			if res.Err != nil {
+				return nil, nil, res.Err
+			}
+			target = res.M
 			continue
 		}
 		ct, crss := tr.RSSSeries(res.Name)
@@ -405,6 +404,8 @@ func (e *Engine) LocateWithClusterConfig(tr *sim.Trace, targetName string, ccfg 
 		}
 		cands = append(cands, seq)
 	}
+	tt, trss := tr.RSSSeries(targetName)
+	targetSeq := cluster.Sequence{Name: targetName, T: tt, RSS: trss, Estimate: target.Est}
 	cres, err := cluster.Calibrate(targetSeq, cands, ccfg)
 	if err != nil {
 		return target, nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -180,6 +181,31 @@ func TestLocateWithClusterImproves(t *testing.T) {
 	t.Logf("single %.2f m vs clustered %.2f m over %d runs", single, clustered, runs)
 	if clustered > single*1.35 {
 		t.Errorf("clustering made things clearly worse: %.2f vs %.2f", clustered, single)
+	}
+}
+
+// TestLocateWithClusterLocatesEachBeaconOnce: the calibrated call
+// takes the target's fix from its one LocateAll, so an n-beacon trace
+// costs exactly n pipeline runs, and an absent target is still
+// ErrUnknownBeacon.
+func TestLocateWithClusterLocatesEachBeaconOnce(t *testing.T) {
+	eng, err := NewEngine(DefaultConfig())
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	tr, err := sim.Run(multiBeaconScenario(1))
+	if err != nil {
+		t.Fatalf("sim.Run: %v", err)
+	}
+	before := eng.Metrics().Counters["core.locate.calls"]
+	if _, _, err := eng.LocateWithCluster(tr, "b0"); err != nil {
+		t.Fatalf("LocateWithCluster: %v", err)
+	}
+	if got, want := eng.Metrics().Counters["core.locate.calls"]-before, int64(len(tr.Observations)); got != want {
+		t.Errorf("core.locate.calls rose by %d, want %d (one per beacon)", got, want)
+	}
+	if _, _, err := eng.LocateWithCluster(tr, "nope"); !errors.Is(err, ErrUnknownBeacon) {
+		t.Errorf("absent target: err %v, want ErrUnknownBeacon", err)
 	}
 }
 

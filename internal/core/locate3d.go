@@ -1,12 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"math"
-
 	"locble/internal/estimate"
-	"locble/internal/motion"
-	"locble/internal/sigproc"
 	"locble/internal/sim"
 )
 
@@ -17,60 +12,17 @@ import (
 // position. The vertical displacement is app-guided (the UI asks the
 // user to raise the phone by a known amount), so — like the 90° turn
 // instruction of Sec. 5.2 — the commanded profile from the ground-truth
-// pose track stands in for inertial double-integration.
+// pose track stands in for inertial double-integration. The planar front
+// half (sanitize, motion, zero-phase ANF, fusion) is Locate's, so
+// unusable input returns the same *RejectedError.
 func (e *Engine) Locate3D(tr *sim.Trace, beaconName string) (*estimate.Estimate3D, error) {
-	obs, ok := tr.Observations[beaconName]
-	if !ok || len(obs) == 0 {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownBeacon, beaconName)
-	}
-	_, alignedSamples, err := motion.Align(tr.IMU.Samples)
+	p, err := e.prepare(tr, beaconName)
 	if err != nil {
-		return nil, fmt.Errorf("core: align: %w", err)
+		return nil, err
 	}
-	track, err := motion.BuildTrack(alignedSamples, e.cfg.Tracker)
-	if err != nil {
-		return nil, fmt.Errorf("core: track: %w", err)
+	fused := make([]estimate.Obs3D, len(p.fused))
+	for i, o := range p.fused {
+		fused[i] = estimate.Obs3D{T: o.T, RSS: o.RSS, P: o.P, Q: o.Q, R: -tr.IMU.HeightAt(o.T)}
 	}
-
-	estCfg := e.cfg.Estimator
-	for _, spec := range tr.Beacons {
-		if spec.Name == beaconName && spec.Tx.TxPowerDBm != 0 {
-			estCfg.GammaSoftMin = spec.Tx.TxPowerDBm - 18
-			estCfg.GammaSoftMax = spec.Tx.TxPowerDBm + 8
-			break
-		}
-	}
-
-	raw := make([]float64, len(obs))
-	times := make([]float64, len(obs))
-	for i, o := range obs {
-		raw[i] = o.RSSI
-		times[i] = o.T
-	}
-	filtered := raw
-	if !e.cfg.DisableANF {
-		fs := tr.Phone.SampleRateHz
-		if fs <= 0 {
-			fs = 9
-		}
-		bf, err := sigproc.NewButterworth(e.cfg.ButterworthOrder, math.Min(e.cfg.CutoffHz, fs/2*0.8), fs)
-		if err != nil {
-			return nil, fmt.Errorf("core: ANF design: %w", err)
-		}
-		filtered = sigproc.FiltFilt(bf, raw)
-	}
-
-	fused := make([]estimate.Obs3D, len(obs))
-	for i := range obs {
-		ox, oy := track.At(times[i])
-		oz := tr.IMU.HeightAt(times[i]) // app-guided lift profile
-		fused[i] = estimate.Obs3D{
-			T:   times[i],
-			RSS: filtered[i],
-			P:   -ox,
-			Q:   -oy,
-			R:   -oz,
-		}
-	}
-	return estimate.Run3D(fused, estCfg)
+	return estimate.Run3D(fused, p.estCfg)
 }

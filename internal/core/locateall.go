@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"locble/internal/sim"
 )
@@ -27,21 +29,23 @@ func (e *Engine) LocateAll(tr *sim.Trace) []BeaconResult {
 	return e.LocateAllContext(context.Background(), tr)
 }
 
-// LocateAllContext is LocateAll under a context. The fan-out runs on
-// the engine's persistent sharded worker pool: GOMAXPROCS workers, each
-// owning a shard channel and a reusable pipeline scratch (estimator
-// arenas + filter buffer), with beacons hashed to shards by name — so
-// repeated batches reuse warm buffers instead of respawning goroutines
-// and reallocating arenas per call. The per-beacon pipelines are
-// CPU-bound, so a trace carrying thousands of beacons (a crowded-venue
-// scan) must not stampede the scheduler with one goroutine each; a full
-// shard applies backpressure to the submitter rather than shedding, so
-// no beacon is ever silently dropped. Cancellation drains fast: beacons
-// not yet started report the context error immediately, and in-flight
-// pipelines stop mid-regression. The observed peak concurrency is
-// recorded in the engine's "core.locateall.concurrency" gauge (its Max
-// is the high-water mark). After Engine.Close the fan-out runs inline
-// on the calling goroutine with identical results and bookkeeping.
+// LocateAllContext is LocateAll under a context. The fan-out is per
+// call: the caller claims beacons in name order from a shared counter,
+// and before each one it starts a helper goroutine claiming from the
+// same counter if beacons are left over and this engine's LocateAll
+// goroutines leave a CPU free. A call starts at most min(GOMAXPROCS,
+// beacons) − 1 helpers, each goroutine writes only the result slots of
+// the beacons it claimed, and all are joined before the call returns.
+// The per-beacon pipelines are CPU-bound, so helpers only fill free
+// CPUs: a lone call spreads over every CPU and keeps them busy until
+// its last beacon starts, while calls that already occupy every CPU
+// each run alone instead of adding goroutines that only contend (the
+// runtime never frees a goroutine's descriptor, so helpers started
+// under full load grew the live heap by a run-dependent amount).
+// Cancellation drains fast: beacons not yet started report the context
+// error immediately, and in-flight pipelines stop mid-regression. The
+// observed peak concurrency is recorded in the engine's
+// "core.locateall.concurrency" gauge (its Max is the high-water mark).
 func (e *Engine) LocateAllContext(ctx context.Context, tr *sim.Trace) []BeaconResult {
 	e.met.locateAlls.Inc()
 	names := make([]string, 0, len(tr.Observations))
@@ -51,43 +55,67 @@ func (e *Engine) LocateAllContext(ctx context.Context, tr *sim.Trace) []BeaconRe
 	sort.Strings(names)
 
 	results := make([]BeaconResult, len(names))
-	var wg sync.WaitGroup
-	wg.Add(len(names))
-
-	p := e.acquirePool()
-	if p == nil {
-		// Engine closed: run the same jobs inline, sequentially, on one
-		// borrowed scratch.
-		sc := getLocateScratch()
-		defer putLocateScratch(sc)
-		for i, name := range names {
-			e.runLocateJob(locateJob{ctx: ctx, tr: tr, name: name, res: &results[i], wg: &wg}, sc)
-		}
-		wg.Wait()
-		return results
-	}
-	defer p.flight.Done()
-	for i, name := range names {
-		job := locateJob{ctx: ctx, tr: tr, name: name, res: &results[i], wg: &wg}
-		select {
-		case p.shards[shardIndex(name, len(p.shards))] <- job:
-		case <-ctx.Done():
-			// Canceled while a full shard held the submitter in
-			// backpressure: the batch is dead, so waiting for a slot would
-			// hang forever. Complete this job and every unsubmitted one
-			// inline through the same runLocateJob path — each observes
-			// the canceled context and reports it, keeping the result
-			// shape, metrics, and health bookkeeping identical to a
-			// cancellation that lands after submission.
-			sc := getLocateScratch()
-			for j := i; j < len(names); j++ {
-				e.runLocateJob(locateJob{ctx: ctx, tr: tr, name: names[j], res: &results[j], wg: &wg}, sc)
+	procs := int64(runtime.GOMAXPROCS(0))
+	helpers := min(int(procs), len(names)) - 1
+	var (
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		claim func(recruit bool)
+	)
+	claim = func(recruit bool) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(names) {
+				return
 			}
-			putLocateScratch(sc)
-			wg.Wait()
-			return results
+			for recruit && helpers > 0 && int(next.Load()) < len(names) && e.takeLane(procs) {
+				helpers--
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					claim(false)
+					e.lanes.Add(-1)
+				}()
+			}
+			results[i] = e.locateOne(ctx, tr, names[i])
 		}
 	}
+	e.lanes.Add(1)
+	claim(true)
+	e.lanes.Add(-1)
 	wg.Wait()
 	return results
+}
+
+// takeLane claims a lane for one more LocateAll goroutine, failing
+// when this engine's LocateAll goroutines already number procs.
+func (e *Engine) takeLane(procs int64) bool {
+	if e.lanes.Add(1) <= procs {
+		return true
+	}
+	e.lanes.Add(-1)
+	return false
+}
+
+// locateOne runs one beacon's pipeline for LocateAll, reporting
+// cancellation, health and the concurrency gauge.
+func (e *Engine) locateOne(ctx context.Context, tr *sim.Trace, name string) BeaconResult {
+	e.met.concurrency.Add(1)
+	defer e.met.concurrency.Add(-1)
+	var (
+		m   *Measurement
+		err error
+	)
+	if ctx.Err() != nil {
+		err = canceledErr(ctx, "locate "+name)
+	} else {
+		m, err = e.LocateContext(ctx, tr, name)
+	}
+	res := BeaconResult{Name: name, M: m, Err: err}
+	if err != nil {
+		res.Health = HealthFromError(err)
+	} else {
+		res.Health = m.Health
+	}
+	return res
 }

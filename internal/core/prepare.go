@@ -29,11 +29,8 @@ type prepared struct {
 
 // prepare runs sanitization, motion processing and adaptive noise
 // filtering for one beacon of a trace. Unusable input returns a
-// *RejectedError carrying the health report. The zero-phase batch
-// filter runs inside sc's buffer; everything that escapes into the
-// returned prepared (and from there into a Measurement) is copied out,
-// so the scratch can be reused immediately after the next call.
-func (e *Engine) prepare(tr *sim.Trace, beaconName string, sc *locateScratch) (*prepared, error) {
+// *RejectedError carrying the health report.
+func (e *Engine) prepare(tr *sim.Trace, beaconName string) (*prepared, error) {
 	obs, ok := tr.Observations[beaconName]
 	if !ok || len(obs) == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownBeacon, beaconName)
@@ -132,7 +129,6 @@ func (e *Engine) prepare(tr *sim.Trace, beaconName string, sc *locateScratch) (*
 		// filtered values at the original sample positions.
 		_, brss, keepMask := bridgeGaps(p.times, p.raw, scfg)
 		var bFiltered []float64
-		scratchFiltered := false
 		if e.cfg.StreamingANF {
 			akf := sigproc.NewAKF(bf)
 			if e.cfg.AKFMaxAlpha > 0 {
@@ -141,18 +137,10 @@ func (e *Engine) prepare(tr *sim.Trace, beaconName string, sc *locateScratch) (*
 			bFiltered = akf.Filter(brss)
 			e.met.recordAKF(akf.Stats())
 		} else {
-			sc.fbuf = sigproc.FiltFiltInto(bf, brss, sc.fbuf)
-			bFiltered = sc.fbuf
-			scratchFiltered = true
+			bFiltered = sigproc.FiltFilt(bf, brss)
 		}
 		if keepMask == nil {
-			if scratchFiltered {
-				// Measurement.Filtered outlives this call; detach it from
-				// the scratch buffer.
-				p.filtered = append([]float64(nil), bFiltered...)
-			} else {
-				p.filtered = bFiltered
-			}
+			p.filtered = bFiltered
 		} else {
 			p.filtered = make([]float64, 0, len(p.raw))
 			for i, keep := range keepMask {

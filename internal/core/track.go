@@ -73,9 +73,7 @@ func (e *Engine) TrackBeaconContext(ctx context.Context, tr *sim.Trace, beaconNa
 // session's causal filters — the RSS is already zero-phase filtered,
 // and batch tracking does not restart windows on an EnvAware change.
 func (e *Engine) trackBeacon(ctx context.Context, tr *sim.Trace, beaconName string, window, step float64) ([]TrackPoint, error) {
-	sc := getLocateScratch()
-	defer putLocateScratch(sc)
-	p, err := e.prepare(tr, beaconName, sc)
+	p, err := e.prepare(tr, beaconName)
 	if err != nil {
 		return nil, err
 	}

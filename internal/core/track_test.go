@@ -107,9 +107,7 @@ func TestTrackBeaconShortTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := getLocateScratch()
-	defer putLocateScratch(sc)
-	p, err := eng.prepare(tr, "target", sc)
+	p, err := eng.prepare(tr, "target")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,10 @@ import (
 // search — objective and gradient evaluations and trust-region
 // iterations — without allocating; only the returned *Estimate (and its
 // Candidates) is fresh memory. A Solver is NOT safe for concurrent use:
-// give each goroutine its own (the LocateAll worker pool does exactly
-// that), or go through the package-level Run/RunSegmented/RunLShape/
-// Run3D wrappers, which draw from an internal sync.Pool.
+// give each goroutine its own, or go through the package-level
+// Run/RunSegmented/RunLShape/Run3D wrappers, which draw from an internal
+// sync.Pool (every core pipeline run, LocateAll's fan-out included,
+// takes its scratch there).
 type Solver struct {
 	// gs holds per-observation log-distances for the closed-form (n, Γ)
 	// fit; valid only within one evaluation.

@@ -305,9 +305,9 @@ func (f *Fleet) PushBatchContext(ctx context.Context, obs []Obs) ([]Result, erro
 		select {
 		case f.shards[si].ch <- *b:
 		case <-ctx.Done():
-			// Same hang class LocateAllContext fixed: a canceled batch
-			// must not wait out shard backpressure. Unsubmitted groups
-			// report the context error; submitted ones finish normally.
+			// A canceled batch must not wait out shard backpressure.
+			// Unsubmitted groups report the context error; submitted
+			// ones finish normally.
 			wg.Done()
 			canceled = true
 			for i := range b.groups {
@@ -556,9 +556,8 @@ func (sh *shard) sweep() {
 	}
 }
 
-// shardIndex maps a beacon name onto one of n shards with FNV-1a (the
-// same hash core's LocateAll pool uses, so a beacon's work stays on one
-// CPU across both paths).
+// shardIndex maps a beacon name onto one of n shards with FNV-1a, so
+// every push for one beacon lands on the same shard.
 func shardIndex(name string, n int) int {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {

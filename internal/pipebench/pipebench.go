@@ -173,7 +173,6 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer sys.Close()
 	beacons := []locble.BeaconSpec{
 		{Name: "b0", X: 6, Y: 3},
 		{Name: "b1", X: 2, Y: 5},
@@ -293,7 +292,6 @@ func runIRLS(cfg Config, beacons []locble.BeaconSpec, truth map[string][2]float6
 	if err != nil {
 		return nil, err
 	}
-	defer sys.Close()
 
 	downBefore := locble.ProcessMetrics().Counters["estimate.irls.downweighted"]
 	var (
@@ -391,7 +389,6 @@ func fleetBenchOnce() (*FleetStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer sys.Close()
 	fl, err := sys.NewFleet(locble.FleetConfig{
 		Shards:     shards,
 		Session:    locble.TrackSessionConfig{SampleRateHz: 8},

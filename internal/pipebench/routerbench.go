@@ -69,7 +69,6 @@ func routerStreams() [][]fleet.Obs {
 
 // benchNode is one loopback fleet server of the bench cluster.
 type benchNode struct {
-	eng *core.Engine
 	fl  *fleet.Fleet
 	srv *netproto.Server
 }
@@ -84,23 +83,20 @@ func startBenchNode(store fleet.CheckpointStore) (*benchNode, error) {
 		Store:   store,
 	})
 	if err != nil {
-		eng.Close()
 		return nil, err
 	}
 	srv, err := netproto.NewServer("routerbench", 0)
 	if err != nil {
 		fl.Close()
-		eng.Close()
 		return nil, err
 	}
 	srv.SetFleet(fl)
-	return &benchNode{eng: eng, fl: fl, srv: srv}, nil
+	return &benchNode{fl: fl, srv: srv}, nil
 }
 
 func (n *benchNode) close() {
 	n.srv.Close()
 	n.fl.Close()
-	n.eng.Close()
 }
 
 // runRouterBench runs the scenario a few times and keeps the rep with

@@ -10,21 +10,11 @@ func FiltFilt(bf *Butterworth, xs []float64) []float64 {
 	if len(xs) == 0 {
 		return nil
 	}
-	return FiltFiltInto(bf, xs, nil)
-}
-
-// FiltFiltInto is FiltFilt writing into dst, for batch callers that
-// reuse a scratch buffer across series. The forward pass, the two
-// reversals, and the backward pass all run inside dst, so once dst's
-// backing array has grown to the series length the whole zero-phase
-// pass is allocation-free. The smoothed series is returned as
-// dst[:len(xs)]; a nil or undersized dst is reallocated.
-func FiltFiltInto(bf *Butterworth, xs, dst []float64) []float64 {
-	dst = bf.FilterInto(dst, xs)
-	reverseFloats(dst)
-	dst = bf.FilterInto(dst, dst)
-	reverseFloats(dst)
-	return dst
+	ys := bf.FilterInto(nil, xs)
+	reverseFloats(ys)
+	ys = bf.FilterInto(ys, ys)
+	reverseFloats(ys)
+	return ys
 }
 
 func reverseFloats(xs []float64) {

@@ -54,37 +54,7 @@ func TestFilterIntoGrows(t *testing.T) {
 	}
 }
 
-// TestFiltFiltIntoMatchesFiltFilt pins the zero-phase scratch path to
-// the allocating path bit-for-bit.
-func TestFiltFiltIntoMatchesFiltFilt(t *testing.T) {
-	bf, err := NewButterworth(6, 0.9, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := benchInput(200)
-	want := FiltFilt(bf, xs)
-	scratch := make([]float64, 0, len(xs))
-	got := FiltFiltInto(bf, xs, scratch)
-	if len(got) != len(want) {
-		t.Fatalf("len %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FiltFiltInto[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Reuse across series of different lengths must stay correct.
-	ys := benchInput(90)
-	want2 := FiltFilt(bf, ys)
-	got2 := FiltFiltInto(bf, ys, got)
-	for i := range want2 {
-		if got2[i] != want2[i] {
-			t.Fatalf("reused FiltFiltInto[%d] = %v, want %v", i, got2[i], want2[i])
-		}
-	}
-}
-
-// TestFilterIntoZeroAlloc asserts the steady-state scratch paths do not
+// TestFilterIntoZeroAlloc asserts the steady-state scratch path does not
 // allocate once the buffer has grown to the series length.
 func TestFilterIntoZeroAlloc(t *testing.T) {
 	bf, err := NewButterworth(6, 0.9, 9)
@@ -98,11 +68,6 @@ func TestFilterIntoZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("FilterInto allocates %v per run, want 0", n)
 	}
-	if n := testing.AllocsPerRun(50, func() {
-		dst = FiltFiltInto(bf, xs, dst)
-	}); n != 0 {
-		t.Fatalf("FiltFiltInto allocates %v per run, want 0", n)
-	}
 }
 
 func BenchmarkFilterInto(b *testing.B) {
@@ -112,15 +77,5 @@ func BenchmarkFilterInto(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		dst = bf.FilterInto(dst, xs)
-	}
-}
-
-func BenchmarkFiltFiltInto(b *testing.B) {
-	bf, _ := NewButterworth(6, 0.9, 9)
-	xs := benchInput(100)
-	dst := make([]float64, len(xs))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		dst = FiltFiltInto(bf, xs, dst)
 	}
 }

@@ -275,12 +275,6 @@ func New(opts ...Option) (*System, error) {
 	return &System{engine: eng}, nil
 }
 
-// Close releases the System's background resources — the persistent
-// LocateAll worker pool, if one was started. A closed System remains
-// fully usable (LocateAll simply runs inline); Close matters for hosts
-// that create Systems dynamically and must not leak goroutines.
-func (s *System) Close() error { return s.engine.Close() }
-
 // Locate runs the full pipeline for one beacon of a trace.
 func (s *System) Locate(tr *Trace, beacon string) (*Position, error) {
 	return s.LocateCtx(context.Background(), tr, beacon)
@@ -305,11 +299,11 @@ func (s *System) LocateAll(tr *Trace) map[string]*Position {
 	return s.LocateAllCtx(context.Background(), tr)
 }
 
-// LocateAllCtx is LocateAll under a context. The fan-out runs on a
-// persistent worker pool sized to the CPU count (one shard per worker,
-// beacons hashed to shards); cancellation drains it fast (beacons not
-// yet started are skipped, in-flight ones stop mid-regression and are
-// omitted like any failed beacon).
+// LocateAllCtx is LocateAll under a context. The fan-out runs at most
+// one goroutine per CPU for this call only and joins them before
+// returning; cancellation drains it fast (beacons not yet started are
+// skipped, in-flight ones stop mid-regression and are omitted like any
+// failed beacon).
 func (s *System) LocateAllCtx(ctx context.Context, tr *Trace) map[string]*Position {
 	out := make(map[string]*Position)
 	for _, res := range s.engine.LocateAllContext(ctx, tr) {
@@ -524,7 +518,7 @@ func OpenFileStore(dir string, opt *FileStoreOptions) (*FileStore, error) {
 }
 
 // NewFleet starts a fleet-scale session manager on this System's
-// pipeline configuration. Close the Fleet before closing the System.
+// pipeline configuration.
 func (s *System) NewFleet(cfg FleetConfig) (*Fleet, error) {
 	return fleet.New(s.engine, cfg)
 }

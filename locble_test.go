@@ -385,7 +385,6 @@ func TestPublicAPIFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
 	store := locble.NewMemStore()
 	fl, err := sys.NewFleet(locble.FleetConfig{
 		Session: locble.TrackSessionConfig{SampleRateHz: 8},
@@ -469,7 +468,6 @@ func TestPublicAPIFileStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
 
 	st, err := locble.NewFileStore(dir)
 	if err != nil {
@@ -565,7 +563,6 @@ func TestPublicAPIRouter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sys.Close()
 		fl, err := sys.NewFleet(locble.FleetConfig{
 			Session: locble.TrackSessionConfig{SampleRateHz: 8},
 			Store:   store,
