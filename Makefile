@@ -47,8 +47,15 @@ vuln:
 test:
 	$(GO) test -shuffle=on ./...
 
+# After the full race suite, the tests of the shared fan-out
+# (internal/fanout) and of its callers — LocateAll and the fleet's
+# push, drain and close — run again ten times each: a race shows only
+# in the interleavings a run happens to hit.
+RACE_REPEAT = ^(TestRun|TestLocateAll|TestPushBatch|TestFleetDrain|TestFleetOwnsNoGoroutines|TestFleetConcurrentEquivalence|TestFleetCloseDuringIngest)
+
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run='$(RACE_REPEAT)' ./internal/fanout/ ./internal/core/ ./internal/fleet/
 
 # Extended chaos soak of the serving path (race-enabled): fault-injected
 # publishers, connection churn, garbage frames, forced handler panics,
@@ -164,7 +171,7 @@ help:
 	@echo "make lint     - go vet + staticcheck (skipped when not installed)"
 	@echo "make vuln     - govulncheck ./... (skipped when not installed)"
 	@echo "make test     - run the test suite (shuffled order)"
-	@echo "make race     - run the test suite under the race detector"
+	@echo "make race     - run the test suite under the race detector, then the fan-out/fleet concurrency tests 10x"
 	@echo "make soak     - $(SOAKTIME) race-enabled chaos soaks of the serving path and the fleet"
 	@echo "make fuzz     - short fuzz pass over all fuzz targets (FUZZTIME=$(FUZZTIME) each)"
 	@echo "make cover    - coverage summary, enforcing the $(COVER_FLOOR)% total floor"

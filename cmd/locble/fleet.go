@@ -13,7 +13,7 @@ import (
 
 // runFleet demos the fleet serving stack end to end on loopback: a
 // netproto server with an attached Fleet ingests batched observations
-// for many beacons over the {"op":"push"} wire op, one beacon walks out
+// for many beacons as locb1 push frames, one beacon walks out
 // of range (idle-evicted to a checkpoint) and back (restored, resuming
 // its session bit-exactly), and the run closes with the fleet's
 // lifecycle metrics.

@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"locble/internal/fanout"
 	"locble/internal/sim"
 )
 
@@ -29,23 +27,16 @@ func (e *Engine) LocateAll(tr *sim.Trace) []BeaconResult {
 	return e.LocateAllContext(context.Background(), tr)
 }
 
-// LocateAllContext is LocateAll under a context. The fan-out is per
-// call: the caller claims beacons in name order from a shared counter,
-// and before each one it starts a helper goroutine claiming from the
-// same counter if beacons are left over and this engine's LocateAll
-// goroutines leave a CPU free. A call starts at most min(GOMAXPROCS,
-// beacons) − 1 helpers, each goroutine writes only the result slots of
-// the beacons it claimed, and all are joined before the call returns.
-// The per-beacon pipelines are CPU-bound, so helpers only fill free
-// CPUs: a lone call spreads over every CPU and keeps them busy until
-// its last beacon starts, while calls that already occupy every CPU
-// each run alone instead of adding goroutines that only contend (the
-// runtime never frees a goroutine's descriptor, so helpers started
-// under full load grew the live heap by a run-dependent amount).
-// Cancellation drains fast: beacons not yet started report the context
-// error immediately, and in-flight pipelines stop mid-regression. The
-// observed peak concurrency is recorded in the engine's
-// "core.locateall.concurrency" gauge (its Max is the high-water mark).
+// LocateAllContext is LocateAll under a context. The beacons fan out
+// per call through fanout.Run on this engine's lanes: the caller claims
+// beacons in name order and starts helpers only while beacons are left
+// over and this engine's LocateAll goroutines leave a CPU free, each
+// goroutine writes only the result slots of the beacons it claimed, and
+// all are joined before the call returns. Cancellation drains fast:
+// beacons not yet started report the context error immediately, and
+// in-flight pipelines stop mid-regression. The observed peak
+// concurrency is recorded in the engine's "core.locateall.concurrency"
+// gauge (its Max is the high-water mark).
 func (e *Engine) LocateAllContext(ctx context.Context, tr *sim.Trace) []BeaconResult {
 	e.met.locateAlls.Inc()
 	names := make([]string, 0, len(tr.Observations))
@@ -55,46 +46,8 @@ func (e *Engine) LocateAllContext(ctx context.Context, tr *sim.Trace) []BeaconRe
 	sort.Strings(names)
 
 	results := make([]BeaconResult, len(names))
-	procs := int64(runtime.GOMAXPROCS(0))
-	helpers := min(int(procs), len(names)) - 1
-	var (
-		next  atomic.Int64
-		wg    sync.WaitGroup
-		claim func(recruit bool)
-	)
-	claim = func(recruit bool) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(names) {
-				return
-			}
-			for recruit && helpers > 0 && int(next.Load()) < len(names) && e.takeLane(procs) {
-				helpers--
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					claim(false)
-					e.lanes.Add(-1)
-				}()
-			}
-			results[i] = e.locateOne(ctx, tr, names[i])
-		}
-	}
-	e.lanes.Add(1)
-	claim(true)
-	e.lanes.Add(-1)
-	wg.Wait()
+	fanout.Run(&e.lanes, len(names), func(i int) { results[i] = e.locateOne(ctx, tr, names[i]) })
 	return results
-}
-
-// takeLane claims a lane for one more LocateAll goroutine, failing
-// when this engine's LocateAll goroutines already number procs.
-func (e *Engine) takeLane(procs int64) bool {
-	if e.lanes.Add(1) <= procs {
-		return true
-	}
-	e.lanes.Add(-1)
-	return false
 }
 
 // locateOne runs one beacon's pipeline for LocateAll, reporting

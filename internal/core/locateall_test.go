@@ -135,7 +135,7 @@ func TestLocateAllStartsNoHelperWhenCPUsBusy(t *testing.T) {
 // engine's metrics, so this is where a scratch-arena data race or a
 // result-slot race would surface.
 func TestLocateAllPoolStress(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 
 	eng, err := NewEngine(DefaultConfig())
 	if err != nil {

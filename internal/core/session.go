@@ -188,14 +188,15 @@ func (e *Engine) NewTrackSession(cfg TrackSessionConfig) (*TrackSession, error) 
 // displacement) into the session. It returns a fix when this
 // observation completed a window, nil otherwise. Non-finite or
 // out-of-order observations are dropped (counted, and reflected in the
-// next fix's Health) — a live wire feed duplicates and mangles.
+// next fix's Health) — a live wire feed duplicates and mangles. So is a
+// timestamp too large for the fix schedule to step past in float64.
 func (s *TrackSession) Push(o estimate.Obs) (*TrackPoint, error) {
 	s.pushed++
 	if !finiteObs(o) {
 		s.droppedBad++
 		return nil, nil
 	}
-	if len(s.buf) > 0 && o.T <= s.buf[len(s.buf)-1].T {
+	if len(s.buf) > 0 && o.T <= s.buf[len(s.buf)-1].T || o.T+s.step/2 == o.T {
 		s.droppedOrder++
 		return nil, nil
 	}
@@ -246,6 +247,12 @@ func (s *TrackSession) Push(o estimate.Obs) (*TrackPoint, error) {
 		return nil, nil
 	}
 	tEnd := s.nextFix
+	// A gap of several steps skips its missed due times in one jump; a
+	// crossing within one step takes the single addition below, as it
+	// always has, so continuous streams keep their exact fix times.
+	if k := math.Floor((o.T - s.nextFix) / s.step); k >= 1 {
+		s.nextFix += k * s.step
+	}
 	for s.nextFix <= o.T {
 		s.nextFix += s.step
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"locble/internal/estimate"
 )
@@ -389,6 +390,51 @@ func TestTrackSessionDegradedInput(t *testing.T) {
 	}
 	if !h.Has(ReasonNonFiniteRSS) || !h.Has(ReasonTimestampAnomaly) {
 		t.Errorf("fix health reasons = %v, want non-finite-rss and timestamp-anomaly", h.Reasons)
+	}
+}
+
+// TestTrackSessionFarFutureTimestamp: a jump of 1e12 s skips the due
+// times it missed in one step instead of one step per loop turn, and a
+// timestamp too large for the schedule to step past in float64 (1e17 s)
+// is dropped as a timestamp anomaly — neither wedges the session.
+func TestTrackSessionFarFutureTimestamp(t *testing.T) {
+	eng, err := NewEngine(DefaultConfig())
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	s := newSession(t, eng)
+	push := func(ts float64) {
+		t.Helper()
+		took := make(chan time.Duration, 1)
+		go func() {
+			start := time.Now()
+			if _, err := s.Push(estimate.Obs{T: ts, RSS: -60}); err != nil {
+				t.Errorf("Push(t=%g): %v", ts, err)
+			}
+			took <- time.Since(start)
+		}()
+		select {
+		case d := <-took:
+			if d > 10*time.Millisecond {
+				t.Errorf("Push(t=%g) took %v, want under 10 ms", ts, d)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("Push(t=%g) still running after 1 s", ts)
+		}
+	}
+	push(0)
+	push(1e12)
+	if s.droppedOrder != 0 || s.nextFix <= 1e12 || s.nextFix > 1e12+s.step {
+		t.Fatalf("after t=1e12: dropped %d, next fix due %v; want 0 and the first due time past 1e12",
+			s.droppedOrder, s.nextFix)
+	}
+	push(1e17)
+	if s.droppedOrder != 1 || s.nextFix > 1e12+s.step {
+		t.Fatalf("after t=1e17: dropped %d, next fix due %v; want it dropped with the schedule unmoved",
+			s.droppedOrder, s.nextFix)
+	}
+	if h := s.health(); !h.Has(ReasonTimestampAnomaly) {
+		t.Errorf("health reasons = %v, want timestamp-anomaly", h.Reasons)
 	}
 }
 

@@ -1,12 +1,14 @@
 // Package fleet is the serving-scale front end over core.TrackSession:
 // one process tracking thousands of beacons at once behind a batched
 // ingest API. Sessions live in a sharded registry — beacon names hash
-// (FNV-1a) onto GOMAXPROCS-sized shards, and each shard is owned by
-// exactly one goroutine, so every session keeps core's single-writer
-// contract without any per-push locking. PushBatch groups a mixed
-// observation batch by beacon and routes each group to its shard in one
-// channel hop; full shards apply backpressure to the submitter rather
-// than shedding, so no observation is silently dropped.
+// (FNV-1a) onto GOMAXPROCS-sized shards, and each shard is guarded by
+// one lock, so every session keeps core's single-writer contract.
+// PushBatch groups a mixed observation batch by beacon, buckets the
+// groups by shard, and runs the busy shards through fanout.Run on the
+// pushing goroutine plus helpers for free CPUs; each job holds one
+// shard's lock at a time. A busy shard makes the pusher wait rather
+// than shedding, so no observation is silently dropped. The fleet owns
+// no goroutine.
 //
 // Lifecycle is managed, not manual: a session is created lazily on a
 // beacon's first observation, evicted after it has been silent for the
@@ -24,9 +26,11 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"locble/internal/core"
 	"locble/internal/estimate"
+	"locble/internal/fanout"
 )
 
 // Errors.
@@ -68,13 +72,13 @@ type Result struct {
 	Quarantined bool
 	// Err is this beacon's failure (the rest of the batch still ran):
 	// ErrShardFull, a checkpoint-store failure, a session error, or the
-	// batch context's error for groups never submitted.
+	// batch context's error for groups whose shard the push never locked.
 	Err error
 }
 
 // Config configures a Fleet.
 type Config struct {
-	// Shards is the number of registry shards (= owner goroutines).
+	// Shards is the number of registry shards, each one lock domain.
 	// Zero selects GOMAXPROCS — one shard per core, matching the
 	// CPU-bound regression work the shards perform.
 	Shards int
@@ -107,55 +111,34 @@ type Fleet struct {
 	idle   float64
 	met    *metrics
 	shards []*shard
+	lanes  atomic.Int64 // goroutines in this fleet's fan-outs (fanout.Run)
 
 	mu     sync.Mutex
 	closed bool
-	flight sync.WaitGroup // in-flight PushBatch calls
-	done   sync.WaitGroup // running shard goroutines
+	flight sync.WaitGroup // in-flight PushBatch and Drain calls
 }
 
-// groupWork is one beacon's slice of a batch, routed to its shard with
-// a result slot the shard owns until wg.Done.
+// groupWork is one beacon's slice of a batch and its result slot, which
+// the job holding the beacon's shard writes.
 type groupWork struct {
 	name string
 	obs  []estimate.Obs
 	res  *Result
 }
 
-// shardBatch is everything one PushBatch call sends one shard: all of
-// its groups in one hop. A non-nil drain turns the batch into a drain
-// request: after the groups land, the shard checkpoints and evicts
-// every resident session into drain's tallies.
-type shardBatch struct {
-	groups []groupWork
-	wg     *sync.WaitGroup
-	drain  *drainWork
-}
-
-// drainWork collects one shard's drain outcome; it is owned by the
-// shard goroutine until the batch's wg.Done.
-type drainWork struct {
-	drained int
-	err     error
-}
-
-// shardBatchDepth is each shard's batch queue buffer. A full queue
-// applies backpressure to PushBatch callers (bounded memory, nothing
-// shed); it is deliberately shallow — each entry can carry many
-// observations.
-const shardBatchDepth = 8
-
-// shard is one registry shard: a batch queue plus the session table its
-// owner goroutine alone may touch.
+// shard is one registry shard: a session table and the lock that
+// guards it. The lock is a one-slot semaphore rather than a mutex so a
+// pusher waiting for a busy shard can give up when its context ends;
+// waiting counts the pushers blocked on it.
 type shard struct {
-	f  *Fleet
-	ch chan shardBatch
+	f       *Fleet
+	lock    chan struct{}
+	waiting atomic.Int64
 
-	// Owned by the shard goroutine — never locked, never shared.
+	// Guarded by lock.
 	sessions  map[string]*session
 	maxT      float64 // newest observation time seen on this shard
 	nextSweep float64 // next maxT at which to run an eviction sweep
-	drainErr  error   // close-time checkpoint failures
 }
 
 // session is one resident beacon: its tracking session and the
@@ -166,8 +149,9 @@ type session struct {
 	lastT float64
 }
 
-// New starts a fleet over an engine's pipeline configuration. The
-// returned Fleet owns its shard goroutines; Close releases them.
+// New builds a fleet over an engine's pipeline configuration. It starts
+// no goroutine: pushes and drains run on their callers (plus helpers
+// joined before each call returns). Close checkpoints what is resident.
 func New(eng *core.Engine, cfg Config) (*Fleet, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("%w: nil engine", core.ErrSessionConfig)
@@ -213,14 +197,11 @@ func New(eng *core.Engine, cfg Config) (*Fleet, error) {
 	}
 	f.shards = make([]*shard, n)
 	for i := range f.shards {
-		sh := &shard{
+		f.shards[i] = &shard{
 			f:        f,
-			ch:       make(chan shardBatch, shardBatchDepth),
+			lock:     make(chan struct{}, 1),
 			sessions: make(map[string]*session),
 		}
-		f.shards[i] = sh
-		f.done.Add(1)
-		go sh.run()
 	}
 	return f, nil
 }
@@ -236,9 +217,10 @@ func (f *Fleet) PushBatch(obs []Obs) ([]Result, error) {
 	return f.PushBatchContext(context.Background(), obs)
 }
 
-// PushBatchContext is PushBatch under a context: a submitter held in
-// shard backpressure unblocks on cancellation, and groups that were
-// never submitted complete with the context's error.
+// PushBatchContext is PushBatch under a context: a push waiting for a
+// busy shard gives up on cancellation, and the groups of every shard it
+// never locked complete with the context's error. Groups already landed
+// finish normally.
 func (f *Fleet) PushBatchContext(ctx context.Context, obs []Obs) ([]Result, error) {
 	if len(obs) == 0 {
 		return nil, nil
@@ -274,48 +256,44 @@ func (f *Fleet) PushBatchContext(ctx context.Context, obs []Obs) ([]Result, erro
 		groupObs[g] = append(groupObs[g], estimate.Obs{T: o.T, RSS: o.RSS, P: o.P, Q: o.Q})
 	}
 
-	// Route every group to its shard in one hop: one shardBatch send per
-	// shard regardless of how many beacons it carries.
+	// Bucket the groups by shard, each bucket in first-appearance order,
+	// and run every busy shard as one fan-out job.
 	nsh := len(f.shards)
-	batches := make([]shardBatch, nsh)
+	buckets := make([][]groupWork, nsh)
+	busy := make([]int, 0, min(nsh, len(results)))
 	for g := range results {
 		si := shardIndex(results[g].Beacon, nsh)
-		batches[si].groups = append(batches[si].groups, groupWork{
+		if len(buckets[si]) == 0 {
+			busy = append(busy, si)
+		}
+		buckets[si] = append(buckets[si], groupWork{
 			name: results[g].Beacon,
 			obs:  groupObs[g],
 			res:  &results[g],
 		})
 	}
-	var wg sync.WaitGroup
-	canceled := false
-	for si := range batches {
-		b := &batches[si]
-		if len(b.groups) == 0 {
-			continue
-		}
-		if canceled {
-			for i := range b.groups {
-				b.groups[i].res.Err = ctx.Err()
-			}
-			continue
-		}
-		b.wg = &wg
-		wg.Add(1)
-		f.met.shardQueue.Observe(float64(len(f.shards[si].ch)))
+	fanout.Run(&f.lanes, len(busy), func(j int) {
+		sh, groups := f.shards[busy[j]], buckets[busy[j]]
+		f.met.shardQueue.Observe(float64(sh.waiting.Add(1) - 1))
 		select {
-		case f.shards[si].ch <- *b:
+		case sh.lock <- struct{}{}:
+			sh.waiting.Add(-1)
 		case <-ctx.Done():
-			// A canceled batch must not wait out shard backpressure.
-			// Unsubmitted groups report the context error; submitted
-			// ones finish normally.
-			wg.Done()
-			canceled = true
-			for i := range b.groups {
-				b.groups[i].res.Err = ctx.Err()
+			sh.waiting.Add(-1)
+			for i := range groups {
+				groups[i].res.Err = ctx.Err()
 			}
+			return
 		}
-	}
-	wg.Wait()
+		defer func() { <-sh.lock }()
+		for i := range groups {
+			sh.process(&groups[i])
+		}
+		// Sweep before releasing the shard: when a push returns, the
+		// evictions its observations triggered are done and the
+		// lifecycle counters balance.
+		sh.sweep()
+	})
 	return results, nil
 }
 
@@ -337,23 +315,21 @@ func (f *Fleet) Drain() (int, error) {
 	defer f.flight.Done()
 
 	f.met.drains.Inc()
-	works := make([]drainWork, len(f.shards))
-	var wg sync.WaitGroup
-	for si := range f.shards {
-		wg.Add(1)
-		f.shards[si].ch <- shardBatch{wg: &wg, drain: &works[si]}
+	drained := make([]int, len(f.shards))
+	errs := make([]error, len(f.shards))
+	fanout.Run(&f.lanes, len(f.shards), func(si int) {
+		sh := f.shards[si]
+		sh.lock <- struct{}{}
+		defer func() { <-sh.lock }()
+		drained[si], errs[si] = sh.drainAll()
+		sh.sweep()
+	})
+	total := 0
+	for _, n := range drained {
+		total += n
 	}
-	wg.Wait()
-	drained := 0
-	errs := make([]error, 0, len(works))
-	for i := range works {
-		drained += works[i].drained
-		if works[i].err != nil {
-			errs = append(errs, works[i].err)
-		}
-	}
-	f.met.drainedSessions.Add(int64(drained))
-	return drained, errors.Join(errs...)
+	f.met.drainedSessions.Add(int64(total))
+	return total, errors.Join(errs...)
 }
 
 // Sessions returns the number of currently resident sessions.
@@ -362,9 +338,9 @@ func (f *Fleet) Sessions() int64 { return f.met.live.Value() }
 // Store returns the fleet's checkpoint store.
 func (f *Fleet) Store() CheckpointStore { return f.store }
 
-// Close drains in-flight batches, checkpoints every resident session to
-// the store (a clean shutdown loses no tracking state), and joins the
-// shard goroutines. Idempotent; PushBatch returns ErrClosed afterwards.
+// Close waits for in-flight pushes and drains, then checkpoints every
+// resident session to the store (a clean shutdown loses no tracking
+// state). Idempotent; PushBatch returns ErrClosed afterwards.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -373,46 +349,25 @@ func (f *Fleet) Close() error {
 	}
 	f.closed = true
 	f.mu.Unlock()
+	// With no call in flight and none admitted, no goroutine holds a
+	// shard lock, so each job below has its shard's table to itself.
+	// Shards checkpoint in parallel, as they do in Drain: a durable
+	// store fsyncs every Save, and concurrent Saves can share an fsync.
 	f.flight.Wait()
-	for _, sh := range f.shards {
-		close(sh.ch)
-	}
-	f.done.Wait()
-	errs := make([]error, 0, len(f.shards))
-	for _, sh := range f.shards {
-		if sh.drainErr != nil {
-			errs = append(errs, sh.drainErr)
+	errs := make([]error, len(f.shards))
+	fanout.Run(&f.lanes, len(f.shards), func(si int) {
+		sh := f.shards[si]
+		var shErrs []error
+		for name, se := range sh.sessions {
+			if err := f.saveCheckpoint(name, se.ts); err != nil {
+				shErrs = append(shErrs, fmt.Errorf("fleet: close checkpoint %s: %w", name, err))
+			}
 		}
-	}
+		f.met.live.Add(-int64(len(sh.sessions)))
+		sh.sessions = nil
+		errs[si] = errors.Join(shErrs...)
+	})
 	return errors.Join(errs...)
-}
-
-// run is the shard owner goroutine: it alone touches this shard's
-// session table, so sessions are single-writer by construction — no
-// per-push lock, no lock ordering, no contention between shards.
-func (sh *shard) run() {
-	defer sh.f.done.Done()
-	for b := range sh.ch {
-		for i := range b.groups {
-			sh.process(&b.groups[i])
-		}
-		if b.drain != nil {
-			sh.drainAll(b.drain)
-		}
-		// Sweep before releasing the submitter: when a push returns, the
-		// evictions its observations triggered are done and the
-		// lifecycle counters balance.
-		sh.sweep()
-		b.wg.Done()
-	}
-	// Fleet closing: checkpoint everything still resident.
-	for name, se := range sh.sessions {
-		if err := sh.f.saveCheckpoint(name, se.ts); err != nil {
-			sh.drainErr = fmt.Errorf("fleet: close checkpoint %s: %w", name, err)
-		}
-	}
-	sh.f.met.live.Add(-int64(len(sh.sessions)))
-	sh.sessions = nil
 }
 
 // saveCheckpoint writes one session's checkpoint with durability-aware
@@ -513,11 +468,12 @@ func (sh *shard) process(g *groupWork) {
 }
 
 // drainAll checkpoints and evicts every session resident on this shard
-// (the Drain handoff). A session whose save fails stays resident so no
-// state is lost — it is reported in dw.err and retried by a later
-// Drain, sweep, or Close.
-func (sh *shard) drainAll(dw *drainWork) {
-	errs := []error(nil)
+// (the Drain handoff) and reports how many it drained. A session whose
+// save fails stays resident so no state is lost — it is reported in the
+// error and retried by a later Drain, sweep, or Close.
+func (sh *shard) drainAll() (int, error) {
+	drained := 0
+	var errs []error
 	for name, se := range sh.sessions {
 		if err := sh.f.saveCheckpoint(name, se.ts); err != nil {
 			errs = append(errs, fmt.Errorf("fleet: drain checkpoint %s: %w", name, err))
@@ -526,9 +482,9 @@ func (sh *shard) drainAll(dw *drainWork) {
 		delete(sh.sessions, name)
 		sh.f.met.evicted.Inc()
 		sh.f.met.live.Add(-1)
-		dw.drained++
+		drained++
 	}
-	dw.err = errors.Join(errs...)
+	return drained, errors.Join(errs...)
 }
 
 // sweep evicts sessions idle past the fleet's horizon, checkpointing

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"runtime"
 	"testing"
 	"time"
 
@@ -196,48 +196,48 @@ func TestEvictRestoreResumesBitExact(t *testing.T) {
 	}
 }
 
-// gateStore parks every Load until gate closes — the deterministic way
-// to hold a shard goroutine busy so its batch queue can be saturated.
+// gateStore signals each Load on entered and parks it until gate
+// closes — the deterministic way to hold a shard's lock, or to see
+// which loads run at once.
 type gateStore struct {
 	CheckpointStore
-	gate <-chan struct{}
+	entered chan<- struct{}
+	gate    <-chan struct{}
 }
 
 func (g *gateStore) Load(beacon string) (*core.SessionCheckpoint, bool, error) {
+	g.entered <- struct{}{}
 	<-g.gate
 	return g.CheckpointStore.Load(beacon)
 }
 
 // TestPushBatchCanceledUnderBackpressure mirrors the LocateAllContext
-// regression: with the single shard parked and its batch queue full, a
-// PushBatchContext submitter blocks in backpressure; cancellation must
-// unblock it and fill the unsubmitted results with the context error
-// instead of hanging on a dead batch.
+// regression: with the single shard held by a push parked in its store
+// load, a second PushBatchContext waits for the shard; cancellation
+// must release it with the context error instead of hanging on the
+// busy shard, and the parked push then completes normally.
 func TestPushBatchCanceledUnderBackpressure(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	eng := newTestEngine(t)
-	gate := make(chan struct{})
+	entered, gate := make(chan struct{}, 1), make(chan struct{})
 	fl, err := New(eng, Config{
 		Shards:  1,
 		Session: testSession(),
-		Store:   &gateStore{CheckpointStore: NewMemStore(), gate: gate},
+		Store:   &gateStore{CheckpointStore: NewMemStore(), entered: entered, gate: gate},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 
-	// One batch parks the shard inside store.Load; shardBatchDepth more
-	// fill its queue.
-	var fillWG sync.WaitGroup
-	fillRes := make([]Result, 1+shardBatchDepth)
-	for i := range fillRes {
-		fillRes[i].Beacon = "gated"
-		fillWG.Add(1)
-		fl.shards[0].ch <- shardBatch{
-			groups: []groupWork{{name: "gated", obs: []estimate.Obs{{T: float64(i), RSS: -60}}, res: &fillRes[i]}},
-			wg:     &fillWG,
+	parked := make(chan error, 1)
+	go func() {
+		res, err := fl.PushBatch([]Obs{{Beacon: "gated", RSS: -60}})
+		if err == nil {
+			err = res[0].Err
 		}
-	}
+		parked <- err
+	}()
+	<-entered
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan []Result, 1)
@@ -248,7 +248,10 @@ func TestPushBatchCanceledUnderBackpressure(t *testing.T) {
 		}
 		done <- res
 	}()
-	time.Sleep(50 * time.Millisecond)
+	// The victim observes the shard queue just before it waits.
+	for fl.Metrics().Histograms["fleet.shard.queue"].Count < 2 {
+		time.Sleep(time.Millisecond)
+	}
 	cancel()
 
 	select {
@@ -258,18 +261,91 @@ func TestPushBatchCanceledUnderBackpressure(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		close(gate)
-		t.Fatal("PushBatchContext hung: canceled context did not unblock a submitter stuck in shard backpressure")
+		t.Fatal("PushBatchContext hung: canceled context did not release a push waiting on a busy shard")
 	}
 
 	close(gate)
-	fillWG.Wait()
-	for i, r := range fillRes {
-		if r.Err != nil {
-			t.Errorf("parked batch %d: %v", i, r.Err)
-		}
+	if err := <-parked; err != nil {
+		t.Errorf("parked push: %v", err)
 	}
 	if err := fl.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestPushBatchSpreadsShardsOverFreeCPUs: a lone push with beacons on
+// two shards runs the two shard jobs at once when CPUs are free — both
+// store loads start before either is released (a two-party barrier).
+// pipebench's fleet section, one pusher over many shards, relies on
+// this.
+func TestPushBatchSpreadsShardsOverFreeCPUs(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs GOMAXPROCS >= 2")
+	}
+	eng := newTestEngine(t)
+	entered, gate := make(chan struct{}, 2), make(chan struct{})
+	st := &gateStore{CheckpointStore: NewMemStore(), entered: entered, gate: gate}
+	fl, err := New(eng, Config{Shards: 2, Session: testSession(), Store: st})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer fl.Close()
+
+	a, b := "s0", ""
+	for i := 1; b == ""; i++ {
+		if name := fmt.Sprintf("s%d", i); shardIndex(name, 2) != shardIndex(a, 2) {
+			b = name
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		res, err := fl.PushBatch([]Obs{{Beacon: a, RSS: -60}, {Beacon: b, RSS: -60}})
+		for _, r := range res {
+			err = errors.Join(err, r.Err)
+		}
+		done <- err
+	}()
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-entered:
+		case <-timeout:
+			close(gate)
+			<-done
+			t.Fatalf("only %d of the push's 2 shard loads started: its shards ran one at a time", i)
+		}
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatalf("PushBatch: %v", err)
+	}
+}
+
+// TestFleetOwnsNoGoroutines: pushes and drains run on their callers and
+// join every helper before returning, so a fleet that is never closed
+// leaks nothing.
+func TestFleetOwnsNoGoroutines(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	eng := newTestEngine(t)
+	fl, err := New(eng, Config{Session: testSession()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var batch []Obs
+	for i := 0; i < 4; i++ {
+		batch = append(batch, SynthStream(fmt.Sprintf("g%d", i), 24, float64(i))...)
+	}
+	res, err := fl.PushBatch(batch)
+	if err != nil {
+		t.Fatalf("PushBatch: %v", err)
+	}
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Beacon, r.Err)
+		}
+	}
+	if n, err := fl.Drain(); n != 4 || err != nil {
+		t.Fatalf("Drain = %d, %v; want 4, nil", n, err)
 	}
 }
 

@@ -46,8 +46,9 @@ type metrics struct {
 	recQuarantined *obs.Gauge
 
 	// Ingest shape: batches and observations pushed, batch-size
-	// distribution, per-shard queue depth observed at submit time (how
-	// far behind the shards run), and whole-batch latency.
+	// distribution, the pushers already waiting for a shard when another
+	// arrives (how contended the shard locks are), and whole-batch
+	// latency.
 	batches    *obs.Counter
 	obsPushed  *obs.Counter
 	batchSize  *obs.Histogram

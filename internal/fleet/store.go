@@ -10,10 +10,11 @@ import (
 
 // CheckpointStore persists evicted sessions' checkpoints and serves
 // them back when a beacon reappears. Implementations must be safe for
-// concurrent use — every shard goroutine calls in. Durability is the
-// implementation's business: MemStore survives evictions but not the
-// process; a disk- or KV-backed store survives restarts, at which
-// point the fleet's restore path doubles as crash recovery.
+// concurrent use — pushes on different shards call in at once.
+// Durability is the implementation's business: MemStore survives
+// evictions but not the process; a disk- or KV-backed store survives
+// restarts, at which point the fleet's restore path doubles as crash
+// recovery.
 type CheckpointStore interface {
 	// Save persists a beacon's checkpoint, replacing any previous one.
 	Save(beacon string, cp *core.SessionCheckpoint) error

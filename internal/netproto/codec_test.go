@@ -435,27 +435,28 @@ func (s *fakeFleetServer) Close() {
 	s.mu.Unlock()
 }
 
-// TestPipelineWindowBounds: with Window=2 a third PushAsync blocks until
-// a slot frees; it respects its context while blocked.
+// TestPipelineWindowBounds: DefaultPushWindow pushes fill the window,
+// and the next PushAsync blocks until a slot frees; it respects its
+// context while blocked.
 func TestPipelineWindowBounds(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	srv := newFakeFleetServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	cl, err := DialFleetWith(ctx, srv.ln.Addr().String(), FleetDialConfig{Window: 2})
+	cl, err := DialFleet(ctx, srv.ln.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer cl.Close()
 
 	batch := toWire(fleet.SynthStream("win", 4, 0))
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultPushWindow; i++ {
 		if _, err := cl.PushAsync(ctx, batch); err != nil {
 			t.Fatalf("PushAsync %d: %v", i, err)
 		}
 		<-srv.gotReq
 	}
-	// Window full: the third push must park on the window, not the wire.
+	// Window full: the next push must park on the window, not the wire.
 	short, scancel := context.WithTimeout(ctx, 150*time.Millisecond)
 	defer scancel()
 	if _, err := cl.PushAsync(short, batch); !errors.Is(err, context.DeadlineExceeded) {
@@ -464,8 +465,8 @@ func TestPipelineWindowBounds(t *testing.T) {
 	srv.mu.Lock()
 	reqs := srv.reqs
 	srv.mu.Unlock()
-	if reqs != 2 {
-		t.Fatalf("server saw %d request frames, want 2 (window must bound the wire)", reqs)
+	if reqs != DefaultPushWindow {
+		t.Fatalf("server saw %d request frames, want %d (window must bound the wire)", reqs, DefaultPushWindow)
 	}
 }
 
@@ -477,7 +478,7 @@ func TestPipelinePoisonFailsAllPending(t *testing.T) {
 	srv := newFakeFleetServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	cl, err := DialFleetWith(ctx, srv.ln.Addr().String(), FleetDialConfig{Window: 4})
+	cl, err := DialFleet(ctx, srv.ln.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -505,19 +506,20 @@ func TestPipelinePoisonFailsAllPending(t *testing.T) {
 }
 
 // TestPipelineFIFOOrdering: responses match requests in send order —
-// each async push's results carry its own batch's beacon.
+// each async push's results carry its own batch's beacon, also when
+// twice the window's pushes queue behind it.
 func TestPipelineFIFOOrdering(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	srv, _ := newPushServer(t, ServerConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	cl, err := DialFleetWith(ctx, srv.Addr(), FleetDialConfig{Window: 8})
+	cl, err := DialFleet(ctx, srv.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer cl.Close()
 
-	const k = 8
+	const k = 2 * DefaultPushWindow
 	var pendings []*PushPending
 	for i := 0; i < k; i++ {
 		p, err := cl.PushAsync(ctx, toWire(fleet.SynthStream(fmt.Sprintf("fifo-%d", i), 8, 0)))
@@ -571,7 +573,7 @@ func TestFleetClientCloseWithInflight(t *testing.T) {
 	srv := newFakeFleetServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	cl, err := DialFleetWith(ctx, srv.ln.Addr().String(), FleetDialConfig{Window: 4})
+	cl, err := DialFleet(ctx, srv.ln.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

@@ -4,8 +4,8 @@
 // flags, per-beacon errors), terminated by a done frame. The exchange
 // rides the same connection lifecycle as every other op — admission
 // capping and token-bucket shedding, per-frame deadlines, the stalled-
-// connection watchdog, and graceful drain (a push held in shard
-// backpressure is released through the server's drain context when a
+// connection watchdog, and graceful drain (a push waiting on a busy
+// fleet shard is released through the server's drain context when a
 // forced shutdown fires).
 //
 // The client side is pipelined: FleetClient keeps a bounded window of
@@ -76,10 +76,10 @@ type pushDone struct {
 	Beacons int  `json:"beacons"`
 }
 
-// SetFleet attaches a fleet, enabling the {"op":"push"} batched-ingest
-// op on this server. Pass nil to detach (pushes are then refused). Safe
-// for concurrent use; the caller keeps ownership of the fleet and is
-// responsible for closing it after the server shuts down.
+// SetFleet attaches a fleet, enabling batched ingest through locb1 push
+// frames on this server. Pass nil to detach (pushes are then refused).
+// Safe for concurrent use; the caller keeps ownership of the fleet and
+// is responsible for closing it after the server shuts down.
 func (s *Server) SetFleet(f *fleet.Fleet) {
 	s.mu.Lock()
 	s.fleet = f
@@ -108,9 +108,9 @@ func (s *Server) handlePush(conn net.Conn, w *wireWriter, wire []PushObs) bool {
 		}
 		batch = append(batch, fleet.Obs{Beacon: o.Beacon, T: o.T, RSS: o.RSS, P: o.P, Q: o.Q})
 	}
-	// The drain context releases a push held in shard backpressure when
-	// a forced shutdown fires — the exchange then reports context errors
-	// instead of wedging the drain.
+	// The drain context releases a push waiting on a wedged fleet shard
+	// when a forced shutdown fires — the exchange then reports context
+	// errors instead of wedging the drain.
 	res, err := f.PushBatchContext(s.drainCtx, batch)
 	if err != nil {
 		w.writeError(err.Error())
@@ -174,8 +174,8 @@ func (s *Server) handleDrain(conn net.Conn, w *wireWriter) bool {
 	return w.writeJSONy(drainReply{Drained: n}) == nil
 }
 
-// DefaultPushWindow is a FleetClient's default pipelining window: how
-// many push/drain exchanges may be in flight on the connection at once.
+// DefaultPushWindow is a FleetClient's pipelining window: how many
+// push/drain exchanges may be in flight on the connection at once.
 const DefaultPushWindow = 4
 
 // ErrClientClosed is returned by exchanges on a closed FleetClient.
@@ -189,21 +189,6 @@ var ErrPeerClosed = errors.New("netproto: server closed the idle connection")
 
 // errUnsolicited reports a frame that arrived with no exchange pending.
 var errUnsolicited = errors.New("netproto: unsolicited frame from server")
-
-// FleetDialConfig tunes DialFleetWith. The zero value takes the default
-// pipelining window.
-type FleetDialConfig struct {
-	// Window bounds pipelined in-flight exchanges (default
-	// DefaultPushWindow).
-	Window int
-}
-
-func (c FleetDialConfig) withDefaults() FleetDialConfig {
-	if c.Window <= 0 {
-		c.Window = DefaultPushWindow
-	}
-	return c
-}
 
 // fleetExchange is one in-flight request awaiting its response stream.
 type fleetExchange struct {
@@ -224,10 +209,10 @@ type fleetOutcome struct {
 
 // FleetClient is a locb1 client for a server's batched-ingest op. It
 // holds one persistent connection and pipelines exchanges over it: Push
-// and PushAsync are safe for concurrent use, and up to Window exchanges
-// overlap on the wire. A failed exchange poisons the pipeline (the
-// frame position is unknown); every pending and later call reports the
-// error, and the caller re-dials.
+// and PushAsync are safe for concurrent use, and up to
+// DefaultPushWindow exchanges overlap on the wire. A failed exchange
+// poisons the pipeline (the frame position is unknown); every pending
+// and later call reports the error, and the caller re-dials.
 type FleetClient struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -247,12 +232,6 @@ type FleetClient struct {
 // DialFleet connects to a server's TCP address for batched tracking
 // ingest and opens locb1 on the connection.
 func DialFleet(ctx context.Context, addr string) (*FleetClient, error) {
-	return DialFleetWith(ctx, addr, FleetDialConfig{})
-}
-
-// DialFleetWith is DialFleet with explicit pipelining control.
-func DialFleetWith(ctx context.Context, addr string, cfg FleetDialConfig) (*FleetClient, error) {
-	cfg = cfg.withDefaults()
 	d := net.Dialer{}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -261,7 +240,7 @@ func DialFleetWith(ctx context.Context, addr string, cfg FleetDialConfig) (*Flee
 	c := &FleetClient{
 		conn:       conn,
 		br:         bufio.NewReader(conn),
-		sem:        make(chan struct{}, cfg.Window),
+		sem:        make(chan struct{}, DefaultPushWindow),
 		readerDone: make(chan struct{}),
 		wfb:        newFrameBuf(),
 	}

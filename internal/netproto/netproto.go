@@ -313,7 +313,7 @@ type Server struct {
 	skips   atomic.Int64
 
 	// drainCtx is canceled when a forced shutdown fires, releasing push
-	// exchanges held in fleet shard backpressure so the drain can't wedge
+	// exchanges waiting on a busy fleet shard so the drain can't wedge
 	// on work that is no longer wanted.
 	drainCtx    context.Context
 	drainCancel context.CancelFunc
@@ -429,7 +429,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		forced = ctx.Err()
-		// Release push exchanges parked in fleet backpressure before
+		// Release push exchanges waiting on a busy fleet shard before
 		// force-closing: their handlers block in the fleet, not in conn
 		// I/O, so closing the sockets alone would not unwedge them.
 		s.drainCancel()

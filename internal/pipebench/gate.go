@@ -101,10 +101,10 @@ func Gate(got *Report, base *Baseline, tol Tolerances) []string {
 	}
 	if got.Fleet != nil {
 		if base.Fleet != nil {
-			// The fleet bench is concurrent (one goroutine per shard), so
-			// even its min-of-N wall is scheduler-noisier than the
-			// single-goroutine sections — gate it at double the wall
-			// tolerance.
+			// The fleet bench is concurrent (each push spreads its shards
+			// over free CPUs), so even its min-of-N wall is scheduler-
+			// noisier than the single-goroutine sections — gate it at
+			// double the wall tolerance.
 			exceed("fleet.wall_seconds", got.Fleet.WallSeconds, base.Fleet.WallSeconds, 2*tol.Wall, "s")
 			exceed("fleet.allocs_per_obs", got.Fleet.AllocsPerObs, base.Fleet.AllocsPerObs, tol.Alloc, "allocs")
 			if got.Fleet.Fixes < base.Fleet.Fixes {

@@ -352,10 +352,10 @@ func runIRLS(cfg Config, beacons []locble.BeaconSpec, truth map[string][2]float6
 // reappearance are part of the measured loop. Everything that shapes
 // the work is pinned — shard count, stream contents, batch slicing —
 // so the counts are machine-independent and the gate can compare them
-// tightly. The fleet is concurrent (one goroutine per shard), which
-// makes a single wall measurement scheduler-noisy; the whole scenario
-// is repeated and the best rep reported, the same min-of-N convention
-// benchmarks use to estimate the noise floor.
+// tightly. The fleet is concurrent (each push spreads its shards over
+// free CPUs), which makes a single wall measurement scheduler-noisy;
+// the whole scenario is repeated and the best rep reported, the same
+// min-of-N convention benchmarks use to estimate the noise floor.
 func runFleetBench() (*FleetStats, error) {
 	const reps = 3
 	var best *FleetStats

@@ -31,7 +31,6 @@ type Backend interface {
 // was sent on it, so the exchange is resent on a fresh connection.
 type dialBackend struct {
 	addr string
-	cfg  netproto.FleetDialConfig
 
 	// reconnects counts successful redials after a dropped connection
 	// (set by New once the router's registry exists; nil in tests).
@@ -41,10 +40,6 @@ type dialBackend struct {
 	cl     *netproto.FleetClient
 	dialed bool // a connection has been established before
 	closed bool
-}
-
-func newDialBackend(addr string, cfg netproto.FleetDialConfig) *dialBackend {
-	return &dialBackend{addr: addr, cfg: cfg}
 }
 
 // client returns the cached connection, dialing if needed. The dial
@@ -59,7 +54,7 @@ func (b *dialBackend) client(ctx context.Context) (*netproto.FleetClient, error)
 	if b.cl != nil {
 		return b.cl, nil
 	}
-	cl, err := netproto.DialFleetWith(ctx, b.addr, b.cfg)
+	cl, err := netproto.DialFleet(ctx, b.addr)
 	if err != nil {
 		return nil, err
 	}

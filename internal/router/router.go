@@ -5,8 +5,8 @@
 // virtual-node ring (ring.go), so every observation for one beacon
 // lands on the same node and the routed results are bit-identical to a
 // single fleet replaying the same stream sequentially — sharding
-// across machines is pure transport, exactly like sharding across
-// goroutines inside one fleet.
+// across machines is pure transport, exactly like the shards inside
+// one fleet.
 //
 // Membership change is first-class. Drain(node) checkpoints every
 // session resident on that node through its checkpoint store and
@@ -69,9 +69,6 @@ type Config struct {
 	// one, so New accepts only "" and netproto.CodecBinary; the field
 	// remains because callers (the perfbench harness) set it explicitly.
 	Codec string
-	// PushWindow bounds the pipelined in-flight exchanges per node
-	// connection (default netproto.DefaultPushWindow).
-	PushWindow int
 }
 
 func (c Config) withDefaults() Config {
@@ -160,11 +157,10 @@ func New(addrs []string, cfg Config) (*Router, error) {
 	if cfg.Codec != "" && cfg.Codec != netproto.CodecBinary {
 		return nil, fmt.Errorf("router: codec %q: nodes speak only %s", cfg.Codec, netproto.CodecBinary)
 	}
-	dialCfg := netproto.FleetDialConfig{Window: cfg.PushWindow}
 	dials := make([]*dialBackend, len(addrs))
 	backends := make([]Backend, len(addrs))
 	for i, a := range addrs {
-		dials[i] = newDialBackend(a, dialCfg)
+		dials[i] = &dialBackend{addr: a}
 		backends[i] = dials[i]
 	}
 	r, err := newWithBackends(addrs, backends, cfg)

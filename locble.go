@@ -535,7 +535,7 @@ type (
 	// Router is the consistent-hash fan-out over fleet servers.
 	Router = router.Router
 	// RouterConfig configures a Router (virtual nodes, ring seed,
-	// per-node circuit breaker, pipelining window).
+	// per-node circuit breaker).
 	RouterConfig = router.Config
 	// RouterResult is one beacon's merged outcome of a routed
 	// PushBatch.
