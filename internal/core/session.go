@@ -506,6 +506,26 @@ type SessionCheckpoint struct {
 	Evicted        int64     `json:"evicted"`
 }
 
+// EncodeCheckpoint is the one byte encoding of a checkpoint that
+// checkpoint stores keep: exactly json.Marshal's output, so stored WAL
+// records, snapshots and crash images written before it read back
+// unchanged.
+func EncodeCheckpoint(cp *SessionCheckpoint) ([]byte, error) {
+	return json.Marshal(cp)
+}
+
+// DecodeCheckpoint decodes bytes written by EncodeCheckpoint. Bytes that
+// do not decode are corruption, not a transient store fault, so the
+// error wraps ErrCorruptCheckpoint: a fleet then quarantines the
+// checkpoint instead of failing the beacon's batches forever.
+func DecodeCheckpoint(raw []byte) (*SessionCheckpoint, error) {
+	var cp SessionCheckpoint
+	if err := json.Unmarshal(raw, &cp); err != nil {
+		return nil, fmt.Errorf("%w (%w)", ErrCorruptCheckpoint, err)
+	}
+	return &cp, nil
+}
+
 // Checkpoint captures the session's complete streaming state. Take it
 // between Push calls (the session is single-goroutine, so any moment
 // the owner is not inside Push is a consistent boundary).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
@@ -174,6 +175,32 @@ func TestTrackSessionCheckpointRestore(t *testing.T) {
 	snap := engB.Metrics()
 	if snap.Counters["core.session.restores"] != 1 {
 		t.Errorf("core.session.restores = %d, want 1", snap.Counters["core.session.restores"])
+	}
+}
+
+// TestCheckpointCodec: the bytes checkpoint stores keep are exactly
+// json.Marshal's (so WAL records and snapshots already on disk read
+// back), and bytes that do not decode are typed as corruption.
+func TestCheckpointCodec(t *testing.T) {
+	eng, err := NewEngine(DefaultConfig())
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	sess := newSession(t, eng)
+	pushAll(t, sess, sessionObs(120))
+	cp := sess.Checkpoint()
+	raw, err := EncodeCheckpoint(cp)
+	if err != nil {
+		t.Fatalf("EncodeCheckpoint: %v", err)
+	}
+	if want, _ := json.Marshal(cp); !bytes.Equal(raw, want) {
+		t.Fatal("EncodeCheckpoint bytes differ from json.Marshal's")
+	}
+	if _, err := DecodeCheckpoint(raw); err != nil {
+		t.Fatalf("DecodeCheckpoint: %v", err)
+	}
+	if _, err := DecodeCheckpoint(raw[:len(raw)/2]); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("DecodeCheckpoint(truncated) = %v, want ErrCorruptCheckpoint", err)
 	}
 }
 

@@ -226,7 +226,7 @@ func (st *FileStore) shardIndex(beacon string) int {
 // (non-Buffered) mode, a nil return means the checkpoint has been
 // fsynced — it survives an immediate power cut.
 func (st *FileStore) Save(beacon string, cp *core.SessionCheckpoint) error {
-	raw, err := json.Marshal(cp)
+	raw, err := core.EncodeCheckpoint(cp)
 	if err != nil {
 		return fmt.Errorf("durable: encode checkpoint %s: %w", beacon, err)
 	}
@@ -242,12 +242,11 @@ func (st *FileStore) Load(beacon string) (*core.SessionCheckpoint, bool, error) 
 	if !ok {
 		return nil, false, nil
 	}
-	var cp core.SessionCheckpoint
-	if err := json.Unmarshal(raw, &cp); err != nil {
-		return nil, false, fmt.Errorf("durable: decode checkpoint %s: %w (%w)",
-			beacon, core.ErrCorruptCheckpoint, err)
+	cp, err := core.DecodeCheckpoint(raw)
+	if err != nil {
+		return nil, false, fmt.Errorf("durable: decode checkpoint %s: %w", beacon, err)
 	}
-	return &cp, true, nil
+	return cp, true, nil
 }
 
 // Delete implements fleet.CheckpointStore: appends a tombstone record.

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -43,10 +42,10 @@ type DurableStore interface {
 }
 
 // MemStore is the in-process CheckpointStore: serialized checkpoints in
-// a map. It stores the JSON encoding rather than the live struct, so a
-// restore exercises the same round trip a durable store would — no
-// accidental aliasing of mutable session state, and format breakage
-// shows up in-process instead of only after a real restart.
+// a map. It stores core.EncodeCheckpoint's bytes rather than the live
+// struct, so a restore exercises the same round trip a durable store
+// would — no accidental aliasing of mutable session state, and format
+// breakage shows up in-process instead of only after a real restart.
 type MemStore struct {
 	mu sync.Mutex
 	m  map[string][]byte
@@ -59,7 +58,7 @@ func NewMemStore() *MemStore {
 
 // Save implements CheckpointStore.
 func (s *MemStore) Save(beacon string, cp *core.SessionCheckpoint) error {
-	raw, err := json.Marshal(cp)
+	raw, err := core.EncodeCheckpoint(cp)
 	if err != nil {
 		return fmt.Errorf("fleet: encode checkpoint %s: %w", beacon, err)
 	}
@@ -77,15 +76,11 @@ func (s *MemStore) Load(beacon string) (*core.SessionCheckpoint, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	var cp core.SessionCheckpoint
-	if err := json.Unmarshal(raw, &cp); err != nil {
-		// Undecodable bytes are corruption, not a transient store
-		// fault — mark them so the fleet quarantines the checkpoint
-		// instead of failing the beacon's batch forever.
-		return nil, false, fmt.Errorf("fleet: decode checkpoint %s: %w (%w)",
-			beacon, core.ErrCorruptCheckpoint, err)
+	cp, err := core.DecodeCheckpoint(raw)
+	if err != nil {
+		return nil, false, fmt.Errorf("fleet: decode checkpoint %s: %w", beacon, err)
 	}
-	return &cp, true, nil
+	return cp, true, nil
 }
 
 // Delete implements CheckpointStore.

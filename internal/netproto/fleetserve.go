@@ -2,11 +2,10 @@
 // fleet.Fleet accepts locb1 push frames carrying a mixed observation
 // batch and streams one result frame per beacon back (fixes, lifecycle
 // flags, per-beacon errors), terminated by a done frame. The exchange
-// rides the same connection lifecycle as every other op — admission
-// capping and token-bucket shedding, per-frame deadlines, the stalled-
-// connection watchdog, and graceful drain (a push waiting on a busy
-// fleet shard is released through the server's drain context when a
-// forced shutdown fires).
+// rides the same connection lifecycle as every other op — the
+// connection cap's shedding, per-frame deadlines, and graceful drain (a
+// push waiting on a busy fleet shard is released through the server's
+// drain context when a forced shutdown fires).
 //
 // The client side is pipelined: FleetClient keeps a bounded window of
 // push/drain exchanges in flight on one persistent connection, with a

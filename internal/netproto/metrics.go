@@ -27,10 +27,9 @@ var (
 	//
 	// metConnsActive gauges connections currently being served (its Max
 	// is the concurrency high-water mark); metConnsShed counts
-	// connections rejected by admission control (cap or token bucket),
-	// metConnsEvicted connections cut by the server for lack of
-	// progress (watchdog expiry or a write deadline hit by a slow
-	// reader).
+	// connections rejected by the connection cap, metConnsEvicted
+	// connections cut by the server because a slow reader let a write
+	// pass its deadline.
 	metConnsActive  = obs.Default.Gauge("netproto.conns.active")
 	metConnsShed    = obs.Default.Counter("netproto.conns.shed")
 	metConnsEvicted = obs.Default.Counter("netproto.conns.evicted")
@@ -41,10 +40,8 @@ var (
 	// times (listener close → all handlers done).
 	metDrainSeconds = obs.Default.Histogram("netproto.drain.seconds",
 		[]float64{0.01, 0.05, 0.1, 0.5, 1, 2, 5, 10})
-	// metSubSkips counts live batches skipped because a subscriber's
-	// buffer was full (recovered later via resume); metSubsActive
-	// gauges live stream subscribers.
-	metSubSkips   = obs.Default.Counter("netproto.stream.sub_skips")
+	// metSubsActive gauges live stream subscribers (cursors reading
+	// the session history).
 	metSubsActive = obs.Default.Gauge("netproto.stream.subs.active")
 
 	// Hello outcomes (server side): connections opened onto locb1 (one

@@ -8,13 +8,13 @@
 // metrics in plain JSON, and — after a locb1 hello — fleet ingest (push,
 // drain) and the live trace stream (subscribe); see codec.go.
 //
-// The server is built for long-running serving: the accept loop runs
-// under a restarting supervisor, per-connection handlers are
-// panic-isolated (a poisoned frame closes one connection, not the
-// process), admission is controlled by a connection cap and an optional
-// token bucket (excess connections are shed with an "overloaded" frame),
-// stalled connections are evicted by a watchdog, and Shutdown drains
-// in-flight exchanges before closing.
+// The server is built for long-running serving, with one mechanism per
+// job: per-frame read and write deadlines bound every connection, a
+// connection cap admits (excess connections are shed with an
+// "overloaded" frame), the listener loops back off errors on
+// DefaultRetry's schedule, per-connection handlers are panic-isolated
+// (a poisoned frame closes one connection, not the process), and
+// Shutdown drains in-flight exchanges before closing.
 package netproto
 
 import (
@@ -28,7 +28,6 @@ import (
 	"math"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"locble/internal/fleet"
@@ -170,29 +169,19 @@ func ReadFrame(r io.Reader, v any) error {
 }
 
 // ServerConfig tunes a Server's lifecycle and overload behaviour. The
-// zero value takes the defaults.
+// zero value takes the defaults. A connection's life is bounded by its
+// per-frame deadlines alone: every read waits at most FrameTimeout for
+// a whole frame, and every write at most WriteTimeout.
 type ServerConfig struct {
 	// MaxConns caps concurrently served connections (default 64,
 	// negative for unlimited). Connections over the cap are shed with an
 	// "overloaded" error frame and closed.
 	MaxConns int
-	// Admit, if non-nil, is a token-bucket admission limiter consulted
-	// before the connection cap; denied connections are shed the same
-	// way.
-	Admit *resilience.TokenBucket
-	// IdleTimeout is the per-connection progress watchdog: a connection
-	// whose exchange makes no frame progress for this long is evicted
-	// (default 6×FrameTimeout, negative disables). It backstops the
-	// per-frame deadlines against handlers stalled outside conn I/O.
-	IdleTimeout time.Duration
 	// WriteTimeout is the per-frame write deadline (default
-	// FrameTimeout). Lower it to evict slow-reading clients faster.
+	// FrameTimeout). Lower it to evict slow-reading clients faster; a
+	// stream subscriber that stops reading is evicted by it too.
 	WriteTimeout time.Duration
-	// SubBuffer is the per-subscriber live stream buffer in batches
-	// (default 64). A subscriber whose buffer is full has batches
-	// skipped live; it recovers them from the history on resume.
-	SubBuffer int
-	// Logf receives supervision and panic-recovery reports (default
+	// Logf receives listener-error and panic-recovery reports (default
 	// log.Printf).
 	Logf func(format string, args ...any)
 }
@@ -201,17 +190,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxConns == 0 {
 		c.MaxConns = 64
 	}
-	switch {
-	case c.IdleTimeout == 0:
-		c.IdleTimeout = 6 * FrameTimeout
-	case c.IdleTimeout < 0:
-		c.IdleTimeout = 0 // inert watchdog
-	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = FrameTimeout
-	}
-	if c.SubBuffer <= 0 {
-		c.SubBuffer = 64
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -245,12 +225,6 @@ func (t *connTable) drop(conn net.Conn) {
 	t.mu.Lock()
 	delete(t.conns, conn)
 	t.mu.Unlock()
-}
-
-func (t *connTable) len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.conns)
 }
 
 // expireReads wakes handlers parked in a blocking read so they can
@@ -305,12 +279,14 @@ type Server struct {
 	mu     sync.Mutex
 	bundle *TraceBundle
 	fleet  *fleet.Fleet // attached via SetFleet; nil refuses "push"
-	// The live stream session (stream.go): its history for resumption,
-	// the live subscribers, and whether a final batch ended it.
-	subs    map[net.Conn]chan StreamBatch
+	// The live stream session (stream.go): the history every subscriber
+	// reads through its own cursor, the channel publishLocked closes
+	// (and replaces) to wake cursors that have caught up, the count of
+	// live cursors, and whether a final batch ended the session.
 	history []StreamBatch
+	grown   chan struct{}
+	subs    int
 	ended   bool
-	skips   atomic.Int64
 
 	// drainCtx is canceled when a forced shutdown fires, releasing push
 	// exchanges waiting on a busy fleet shard so the drain can't wedge
@@ -373,7 +349,7 @@ func NewServerWithConfig(device string, port int, cfg ServerConfig) (*Server, er
 		udp:        udp,
 		conns:      newConnTable(),
 		closed:     make(chan struct{}),
-		subs:       make(map[net.Conn]chan StreamBatch),
+		grown:      make(chan struct{}),
 	}
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 	s.wg.Add(2)
@@ -445,59 +421,69 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 func (s *Server) serveUDP() {
 	defer s.wg.Done()
-	sup := &resilience.Supervisor{Name: "netproto.discovery", Logf: s.cfg.Logf}
-	sup.Run(context.Background(), func(context.Context) error {
-		buf := make([]byte, 512)
-		for {
-			n, addr, err := s.udp.ReadFrom(buf)
-			if err != nil {
-				select {
-				case <-s.closed:
-					return nil
-				default:
-					return err
-				}
+	buf := make([]byte, 512)
+	for fails := 0; ; {
+		n, addr, err := s.udp.ReadFrom(buf)
+		if err != nil {
+			fails++
+			if !s.backOff("discovery", err, fails) {
+				return
 			}
-			if string(buf[:n]) != DiscoverMagic {
-				continue
-			}
-			offer := fmt.Sprintf("%s %s %s", OfferMagic, s.DeviceName, s.Addr())
-			s.udp.WriteTo([]byte(offer), addr)
+			continue
 		}
-	})
+		fails = 0
+		if string(buf[:n]) != DiscoverMagic {
+			continue
+		}
+		offer := fmt.Sprintf("%s %s %s", OfferMagic, s.DeviceName, s.Addr())
+		s.udp.WriteTo([]byte(offer), addr)
+	}
 }
 
 func (s *Server) serveTCP() {
 	defer s.wg.Done()
-	sup := &resilience.Supervisor{Name: "netproto.accept", Logf: s.cfg.Logf}
-	sup.Run(context.Background(), func(context.Context) error {
-		return s.acceptLoop()
-	})
-}
-
-func (s *Server) acceptLoop() error {
-	for {
+	for fails := 0; ; {
 		conn, err := s.tcp.Accept()
 		if err != nil {
-			select {
-			case <-s.closed:
-				return nil
-			default:
-				return err // supervisor restarts the loop
+			fails++
+			if !s.backOff("accept", err, fails) {
+				return
 			}
-		}
-		if !s.admit(conn) {
 			continue
 		}
-		s.wg.Add(1)
-		go s.handleConn(conn)
+		fails = 0
+		if s.admit(conn) {
+			s.wg.Add(1)
+			go s.handleConn(conn)
+		}
 	}
 }
 
-// admit applies the token-bucket limiter and the connection cap,
-// shedding the connection when either denies.
+// backOff handles the n-th consecutive error of a listener loop. While
+// the server is closing the error is the listener's own close, and
+// backOff reports false at once. Otherwise it logs the error and sleeps
+// DefaultRetry's delay for attempt n, waking early (and reporting
+// false) if the server closes meanwhile.
+func (s *Server) backOff(loop string, err error, n int) bool {
+	select {
+	case <-s.closed:
+		return false
+	default:
+	}
+	d := DefaultRetry().Delay(n)
+	s.cfg.Logf("netproto: %s: %v (failure %d, retrying in %v)", loop, err, n, d)
+	select {
+	case <-time.After(d):
+		return true
+	case <-s.closed:
+		return false
+	}
+}
+
+// admit applies the connection cap, shedding the connection when the
+// server is full.
 func (s *Server) admit(conn net.Conn) bool {
-	if !s.cfg.Admit.Allow() || !s.conns.tryAdd(conn, s.cfg.MaxConns) {
+	if !s.conns.tryAdd(conn, s.cfg.MaxConns) {
 		shedConn(conn, s.cfg.WriteTimeout, &s.wg)
 		return false
 	}
@@ -506,10 +492,11 @@ func (s *Server) admit(conn net.Conn) bool {
 }
 
 // handleConn serves one connection. It is panic-isolated (a handler
-// panic closes this connection only), watchdog-guarded (a stalled
-// exchange is evicted), and drain-aware (between frames it observes
-// shutdown and exits). A subscribe turns the connection into a live
-// stream for the rest of its life.
+// panic closes this connection only), bounded by per-frame deadlines (a
+// frame must arrive whole within FrameTimeout and leave within
+// WriteTimeout), and drain-aware (between frames it observes shutdown
+// and exits). A subscribe turns the connection into a live stream for
+// the rest of its life.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -520,11 +507,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer resilience.CatchPanic("netproto.conn", s.cfg.Logf, func(any) {
 		metPanicsRecovered.Inc()
 	})()
-	wd := resilience.NewWatchdog(s.cfg.IdleTimeout, func() {
-		metConnsEvicted.Inc()
-		conn.Close() // unblocks any pending I/O; the handler then exits
-	})
-	defer wd.Stop()
 
 	// Deadlines are per frame, refreshed before each read and write: a
 	// connection-scoped deadline would expire in the middle of a long
@@ -545,7 +527,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err := rd.read(w.binary, &req); err != nil {
 			return
 		}
-		wd.Kick()
 		if hook := s.handlerHook; hook != nil {
 			hook(req.Op)
 		}
@@ -596,10 +577,8 @@ func (s *Server) handleConn(conn net.Conn) {
 				return
 			}
 		case "subscribe":
-			// A stream reads nothing more from its subscriber, so the
-			// progress watchdog would evict it every IdleTimeout; the
-			// per-batch write deadlines police it instead.
-			wd.Stop()
+			// A stream reads nothing more from its subscriber; the
+			// per-batch write deadlines police it.
 			s.serveStream(conn, w, req.From)
 			return
 		case "metrics":

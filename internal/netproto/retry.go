@@ -5,15 +5,15 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"locble/internal/resilience"
 )
 
 // Retry is an exponential-backoff policy with randomized jitter, used by
 // Fetch and the stream subscriber to ride out flaky peers: refused
 // connections while the target's server is still coming up, and
 // connections dropped mid-frame on a lossy link. Jitter desynchronises
-// the retry storms of many observers discovering the same target.
+// the retry storms of many observers discovering the same target. The
+// server's listener loops back off repeated Accept/ReadFrom errors on
+// DefaultRetry's schedule too, so the package has one backoff policy.
 type Retry struct {
 	// MaxAttempts bounds the number of tries (including the first).
 	// Zero means retry until the context deadline.
@@ -29,13 +29,6 @@ type Retry struct {
 	Jitter float64
 	// Rand overrides the jitter source (tests); nil uses math/rand.
 	Rand func() float64
-	// Breaker, if non-nil, is consulted before every attempt: while the
-	// circuit is open, attempts fail fast with ErrCircuitOpen without
-	// touching the peer (still consuming retry budget, so the policy
-	// rides through the open window and probes once it goes half-open).
-	// The outcome of each real attempt is recorded into the breaker.
-	// Share one breaker across callers targeting the same peer.
-	Breaker *resilience.Breaker
 }
 
 // DefaultRetry returns the policy the package-level helpers use: six
@@ -102,17 +95,7 @@ func (r Retry) Do(ctx context.Context, op func() error) error {
 			}
 			return err
 		}
-		if r.Breaker != nil {
-			if berr := r.Breaker.Allow(); berr != nil {
-				last = berr // fail fast; never ran, so don't record
-			} else {
-				last = op()
-				r.Breaker.Record(last)
-			}
-		} else {
-			last = op()
-		}
-		if last == nil {
+		if last = op(); last == nil {
 			return nil
 		}
 		if r.MaxAttempts > 0 && attempt >= r.MaxAttempts {

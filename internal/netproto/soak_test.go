@@ -13,7 +13,6 @@ import (
 
 	"locble/internal/faults"
 	"locble/internal/obs"
-	"locble/internal/resilience"
 	"locble/internal/sim"
 	"locble/internal/testutil"
 )
@@ -39,7 +38,6 @@ func TestChaosSoak(t *testing.T) {
 
 	srv, err := NewServerWithConfig("soak", 0, ServerConfig{
 		MaxConns:     8,
-		Admit:        resilience.NewTokenBucket(400, 32),
 		WriteTimeout: 300 * time.Millisecond,
 		Logf:         quietLogf,
 	})
@@ -66,7 +64,6 @@ func TestChaosSoak(t *testing.T) {
 
 	stream, err := NewServerWithConfig("soak", 0, ServerConfig{
 		MaxConns:     16,
-		SubBuffer:    4,
 		WriteTimeout: 300 * time.Millisecond,
 		Logf:         quietLogf,
 	})
@@ -220,7 +217,7 @@ func TestChaosSoak(t *testing.T) {
 	for _, name := range []string{
 		"netproto.frames.in", "netproto.frames.out",
 		"netproto.conns.shed", "netproto.conns.evicted",
-		"netproto.panics.recovered", "netproto.stream.sub_skips",
+		"netproto.panics.recovered",
 	} {
 		if v, ok := snap.Counters[name]; ok && v < 0 {
 			t.Errorf("counter %s = %d, want ≥ 0", name, v)
@@ -235,7 +232,7 @@ func TestChaosSoak(t *testing.T) {
 	if fetchOK.Load() == 0 {
 		t.Error("no fetch ever succeeded during the soak")
 	}
-	t.Logf("soak %v: fetches=%d batches=%d subscriberRounds=%d junk=%d injectedPanics=%d shed=%d evicted=%d skips=%d",
+	t.Logf("soak %v: fetches=%d batches=%d subscriberRounds=%d junk=%d injectedPanics=%d shed=%d evicted=%d",
 		dur, fetchOK.Load(), batchesIn.Load(), subRounds.Load(), junkRounds.Load(),
-		injectedPanics.Load(), metConnsShed.Value(), metConnsEvicted.Value(), stream.SubscriberSkips())
+		injectedPanics.Load(), metConnsShed.Value(), metConnsEvicted.Value())
 }

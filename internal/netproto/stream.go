@@ -17,10 +17,13 @@ import (
 // becomes a one-way stream of bfStreamBatch frames.
 //
 // Every batch carries a sequence number and the server retains the
-// session's history, so the stream is resumable: the server replays
-// everything after batch N before going live. Subscribe reconnects
-// automatically when the TCP connection drops mid-session, resuming from
-// the last batch it delivered instead of losing the measurement.
+// session's history. The history is the only delivery path: each
+// subscriber reads it through its own cursor, starting after batch N,
+// so a live subscriber gets every batch exactly once and in order no
+// matter how fast the target publishes, and a resumed one gets the rest
+// of the session the same way. Subscribe reconnects automatically when
+// the TCP connection drops mid-session, resuming from the last batch it
+// delivered instead of losing the measurement.
 
 // StreamBatch is one live update from the target.
 type StreamBatch struct {
@@ -48,30 +51,25 @@ var ErrStreamClosed = errors.New("netproto: stream closed")
 
 // StreamIdleTimeout is how long a subscriber waits for the next batch
 // before treating the connection as dead (and reconnecting).
-var StreamIdleTimeout = 30 * time.Second
+const StreamIdleTimeout = 30 * time.Second
 
-// SubscriberSkips returns how many live batches were skipped because a
-// subscriber's buffer was full. Skipped batches stay in the history, so
-// the subscriber recovers them on resume.
-func (s *Server) SubscriberSkips() int64 { return s.skips.Load() }
-
-// Subscribers returns how many subscribers are currently registered for
-// live batches. A subscriber counts from the moment its subscribe frame
-// has been accepted, so a publisher can wait for listeners before
-// pushing data it does not want replayed from history.
+// Subscribers returns how many subscribers are reading the session
+// history through their cursors. A subscriber counts from the moment
+// its subscribe frame has been accepted until its stream ends, so a
+// publisher can wait for listeners before pushing data.
 func (s *Server) Subscribers() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.subs)
+	return s.subs
 }
 
-// Publish sends one batch to every current subscriber and appends it to
-// the session history for resumption. Non-finite RSS/motion values are
-// dropped at this boundary, so a degraded sensor feed never reaches the
-// observer's tracker. Slow subscribers whose buffers are full are
-// skipped live — they recover the batch on reconnect, since it stays in
-// the history. A final batch ends the session; Publish then reports
-// ErrStreamClosed.
+// Publish appends one batch to the session history, which every
+// subscriber reads through its own cursor. Non-finite RSS/motion values
+// are dropped at this boundary, so a degraded sensor feed never reaches
+// the observer's tracker. Publish never blocks on a subscriber: a slow
+// one falls behind in the history, and one that stops reading is
+// evicted by the write deadline. A final batch ends the session;
+// Publish then reports ErrStreamClosed.
 func (s *Server) Publish(rss []TimedRSS, motion []MotionPoint, final bool) error {
 	rss, motion = sanitizeRSS(rss), sanitizeMotion(motion)
 	s.mu.Lock()
@@ -83,88 +81,66 @@ func (s *Server) Publish(rss []TimedRSS, motion []MotionPoint, final bool) error
 	return nil
 }
 
-// publishLocked numbers b, appends it to the history and offers it to
-// every live subscriber, skipping (and counting) those whose buffers are
-// full. A final batch closes every subscriber channel and ends live
-// registration; later subscribers are served the history only.
+// publishLocked numbers b, appends it to the history and wakes every
+// cursor waiting for it by closing s.grown, which it replaces for the
+// next batch. A final batch ends the session.
 func (s *Server) publishLocked(b StreamBatch) {
 	b.Seq = len(s.history) + 1
 	s.history = append(s.history, b)
-	for _, ch := range s.subs {
-		select {
-		case ch <- b:
-		default: // drop for this subscriber; history covers it
-			s.skips.Add(1)
-			metSubSkips.Inc()
-		}
-	}
+	close(s.grown)
+	s.grown = make(chan struct{})
 	if b.Final {
 		s.ended = true
-		for conn, ch := range s.subs {
-			close(ch)
-			delete(s.subs, conn)
-		}
 	}
 }
 
-// serveStream runs a subscribe exchange to its end: replay the history
-// after batch from, then forward live batches until the session ends or
-// a write fails.
+// serveStream runs a subscribe exchange to its end. Its cursor sends
+// history[next] for next = from, from+1, …, waits for the next publish
+// once it has caught up, and returns after sending the final batch or
+// when a write fails. The history is append-only, so a snapshot of it
+// stays valid unlocked; the wake channel is read under the same lock as
+// the snapshot, so no publish can fall between them.
 func (s *Server) serveStream(conn net.Conn, w *wireWriter, from int) {
-	// Snapshot the history and register for live batches under one lock
-	// acquisition, so no batch can fall between replay and live. The
-	// history is append-only, so the snapshot stays valid unlocked.
 	s.mu.Lock()
-	replay := s.history
-	var ch chan StreamBatch
-	if !s.ended {
-		ch = make(chan StreamBatch, s.cfg.SubBuffer)
-		s.subs[conn] = ch
-	}
-	s.mu.Unlock()
 	if from > 0 {
 		// A resuming subscriber: how much history it had to recover.
-		metResumeDepth.Observe(float64(max(len(replay)-from, 0)))
+		metResumeDepth.Observe(float64(max(len(s.history)-from, 0)))
 	}
-	if ch != nil {
-		metSubsActive.Add(1)
-		defer func() {
-			s.mu.Lock()
-			delete(s.subs, conn)
-			s.mu.Unlock()
-			metSubsActive.Add(-1)
-		}()
-	}
+	s.subs++
+	s.mu.Unlock()
+	metSubsActive.Add(1)
+	defer func() {
+		s.mu.Lock()
+		s.subs--
+		s.mu.Unlock()
+		metSubsActive.Add(-1)
+	}()
 
-	lastSent := from
-	send := func(b StreamBatch) bool {
-		if b.Seq <= lastSent {
-			return true // already delivered (replay/live overlap)
-		}
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := w.writeStreamBatch(&b); err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				// A slow reader stalled the write past its deadline:
-				// evicted, not merely disconnected.
-				metConnsEvicted.Inc()
+	next := max(from, 0) // from comes off the wire
+	for {
+		s.mu.Lock()
+		history, grown, ended := s.history, s.grown, s.ended
+		s.mu.Unlock()
+		for ; next < len(history); next++ {
+			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+			if err := w.writeStreamBatch(&history[next]); err != nil {
+				if ne, ok := err.(net.Error); ok && ne.Timeout() {
+					// A slow reader stalled the write past its deadline:
+					// evicted, not merely disconnected.
+					metConnsEvicted.Inc()
+				}
+				return
 			}
-			return false
+			if history[next].Final {
+				return
+			}
 		}
-		lastSent = b.Seq
-		return !b.Final
-	}
-	for _, b := range replay {
-		if !send(b) {
-			return
+		if ended {
+			return // resumed past the final batch
 		}
-	}
-	if ch == nil {
-		return // session over: replay-only subscriber
-	}
-	for b := range ch {
-		if !send(b) {
-			return
-		}
+		// Not s.closed: Shutdown publishes the terminal draining batch
+		// after closing it, and that batch is what ends the cursor.
+		<-grown
 	}
 }
 

@@ -124,13 +124,13 @@ func TestSubscribeConnectionRefused(t *testing.T) {
 	}
 }
 
-// TestStreamIdleSubscriberKept: a subscriber waiting longer than
-// IdleTimeout for the next batch is a healthy stream, not a stalled
-// exchange — the server neither evicts it nor makes it reconnect.
+// TestStreamIdleSubscriberKept: a subscriber waiting a while for the
+// next batch is a healthy stream, not a stalled exchange — the server
+// neither evicts it nor makes it reconnect.
 func TestStreamIdleSubscriberKept(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	srv, err := NewServerWithConfig("tgt", 0, ServerConfig{
-		IdleTimeout: 200 * time.Millisecond, Logf: quietLogf,
+		Logf: quietLogf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestStreamIdleSubscriberKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitSubscribers(t, srv, 1)
-	time.Sleep(600 * time.Millisecond) // three IdleTimeouts without a batch
+	time.Sleep(600 * time.Millisecond) // no batch for a while
 	if err := srv.Publish([]TimedRSS{{T: 1, RSS: -60}}, nil, true); err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +157,54 @@ func TestStreamIdleSubscriberKept(t *testing.T) {
 	}
 	if d := metConnsEvicted.Value() - evicted; d != 0 {
 		t.Errorf("conns.evicted delta = %d, want 0 (idle subscriber evicted)", d)
+	}
+	if d := metReconnects.Value() - reconnects; d != 0 {
+		t.Errorf("stream.reconnects delta = %d, want 0", d)
+	}
+}
+
+// TestStreamBurstDeliversEveryBatch: a burst of publishes far larger
+// than the socket buffers reaches a live subscriber whole — every batch
+// exactly once and in order, over its first connection.
+func TestStreamBurstDeliversEveryBatch(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	srv, err := NewServerWithConfig("tgt", 0, ServerConfig{Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	reconnects := metReconnects.Value()
+	ch, err := Subscribe(ctx, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSubscribers(t, srv, 1)
+
+	rss := make([]TimedRSS, 64)
+	for i := range rss {
+		rss[i] = TimedRSS{T: float64(i), RSS: -60}
+	}
+	const burst = 500
+	for i := 0; i < burst; i++ {
+		if err := srv.Publish(rss, nil, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Publish(nil, nil, true); err != nil {
+		t.Fatal(err)
+	}
+
+	next := 1
+	for b := range ch {
+		if b.Seq != next {
+			t.Fatalf("batch seq %d, want %d", b.Seq, next)
+		}
+		next++
+	}
+	if next-1 != burst+1 {
+		t.Fatalf("received %d batches, want %d", next-1, burst+1)
 	}
 	if d := metReconnects.Value() - reconnects; d != 0 {
 		t.Errorf("stream.reconnects delta = %d, want 0", d)

@@ -162,22 +162,6 @@ func (b *Breaker) RecordSuccess() { b.record(false) }
 // through.
 func (b *Breaker) RecordFailure() { b.record(true) }
 
-// Record reports an outcome by error: nil records success, non-nil
-// failure.
-func (b *Breaker) Record(err error) { b.record(err != nil) }
-
-// Do runs fn under the breaker: Allow, then Record the returned error.
-// When the breaker is failing fast, fn is not called and ErrCircuitOpen
-// is returned.
-func (b *Breaker) Do(fn func() error) error {
-	if err := b.Allow(); err != nil {
-		return err
-	}
-	err := fn()
-	b.Record(err)
-	return err
-}
-
 func (b *Breaker) record(failed bool) {
 	b.mu.Lock()
 	var trans func()

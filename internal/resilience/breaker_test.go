@@ -147,22 +147,6 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	}
 }
 
-func TestBreakerDo(t *testing.T) {
-	clk := &stepClock{t: time.Unix(0, 0)}
-	b := testBreaker(clk, nil)
-	boom := errors.New("boom")
-	for i := 0; i < 4; i++ {
-		if err := b.Do(func() error { return boom }); !errors.Is(err, boom) {
-			t.Fatalf("Do = %v", err)
-		}
-	}
-	called := false
-	err := b.Do(func() error { called = true; return nil })
-	if !errors.Is(err, ErrCircuitOpen) || called {
-		t.Fatalf("Do while open = %v (called=%v)", err, called)
-	}
-}
-
 func TestBreakerConcurrentRecords(t *testing.T) {
 	clk := &stepClock{t: time.Unix(0, 0)}
 	b := NewBreaker(BreakerConfig{Clock: clk.Now})

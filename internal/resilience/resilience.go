@@ -1,14 +1,16 @@
-// Package resilience provides the lifecycle and overload-control
-// primitives LocBLE's long-running serving path is built on: a
-// failure-rate circuit breaker, a token-bucket admission limiter,
-// watchdog timers, and a panic-isolating supervisor with restart
-// backoff.
+// Package resilience provides the failure primitives LocBLE's
+// long-running serving path shares: a failure-rate circuit breaker
+// (the router's per-node failover gate), the typed errors callers
+// branch on, and CatchPanic, which confines a panic to the goroutine
+// it happened in.
+//
+// Everything else a server needs is one mechanism each in netproto:
+// per-frame deadlines bound a connection's life, a connection cap
+// admits, and netproto.Retry backs off listener errors.
 //
 // The primitives are deliberately dependency-free (stdlib + the obs
 // metrics layer) and clock-injectable, so overload and recovery
-// behaviour is testable deterministically. netproto threads them
-// through its server and clients; anything long-running
-// (a soak harness, a daemonized CLI) can reuse them directly.
+// behaviour is testable deterministically.
 package resilience
 
 import (
@@ -21,9 +23,9 @@ import (
 // from "dependency failing".
 var (
 	// ErrOverloaded reports work shed by admission control: a server at
-	// its connection cap or out of TokenBucket tokens answers
-	// "overloaded", and clients surface that as this error. The request
-	// was never started — safe to retry elsewhere or later.
+	// its connection cap answers "overloaded", and clients surface that
+	// as this error. The request was never started — safe to retry
+	// elsewhere or later.
 	ErrOverloaded = errors.New("resilience: overloaded")
 	// ErrCircuitOpen is returned by a Breaker while it is failing fast.
 	ErrCircuitOpen = errors.New("resilience: circuit open")
@@ -35,10 +37,6 @@ var (
 	metBreakerToOpen     = obs.Default.Counter("resilience.breaker.to_open")
 	metBreakerToHalfOpen = obs.Default.Counter("resilience.breaker.to_halfopen")
 	metBreakerToClosed   = obs.Default.Counter("resilience.breaker.to_closed")
-	metLimiterDenied     = obs.Default.Counter("resilience.limiter.denied")
-	metWatchdogExpired   = obs.Default.Counter("resilience.watchdog.expired")
-	metSupervisorPanics  = obs.Default.Counter("resilience.supervisor.panics")
-	metSupervisorRestart = obs.Default.Counter("resilience.supervisor.restarts")
 	metPanicsRecovered   = obs.Default.Counter("resilience.panics.recovered")
 )
 
