@@ -52,14 +52,18 @@ test:
 # push, drain and close — run again ten times each: a race shows only
 # in the interleavings a run happens to hit. So do netproto's stream
 # tests: a subscriber's cursor waits on a channel that each publish
-# closes and replaces, and that handoff is the same kind of code.
+# closes and replaces, and that handoff is the same kind of code. So do
+# the router's breaker and readmission tests: overlapping PushBatch
+# calls share each node's breaker.
 RACE_REPEAT = ^(TestRun|TestLocateAll|TestPushBatch|TestFleetDrain|TestFleetOwnsNoGoroutines|TestFleetConcurrentEquivalence|TestFleetCloseDuringIngest)
 STREAM_REPEAT = ^(TestStream|TestSubscribe|TestServerCloseUnblocksSubscribers|TestServerServesEveryOpAtOnce)
+BREAKER_REPEAT = ^(TestBreaker|TestRouterBreaker|TestRouterReadmits)
 
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run='$(RACE_REPEAT)' ./internal/fanout/ ./internal/core/ ./internal/fleet/
 	$(GO) test -race -count=10 -run='$(STREAM_REPEAT)' ./internal/netproto/
+	$(GO) test -race -count=10 -run='$(BREAKER_REPEAT)' ./internal/router/
 
 # Extended chaos soak of the serving path (race-enabled): fault-injected
 # publishers, connection churn, garbage frames, forced handler panics,
@@ -175,7 +179,7 @@ help:
 	@echo "make lint     - go vet + staticcheck (skipped when not installed)"
 	@echo "make vuln     - govulncheck ./... (skipped when not installed)"
 	@echo "make test     - run the test suite (shuffled order)"
-	@echo "make race     - run the test suite under the race detector, then the fan-out/fleet concurrency and netproto stream tests 10x"
+	@echo "make race     - run the test suite under the race detector, then the fan-out/fleet concurrency, netproto stream and router breaker/readmission tests 10x"
 	@echo "make soak     - $(SOAKTIME) race-enabled chaos soaks of the serving path and the fleet"
 	@echo "make fuzz     - short fuzz pass over all fuzz targets (FUZZTIME=$(FUZZTIME) each)"
 	@echo "make cover    - coverage summary, enforcing the $(COVER_FLOOR)% total floor"

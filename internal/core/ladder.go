@@ -43,16 +43,21 @@ func (m FixMode) String() string {
 	return fmt.Sprintf("FixMode(%d)", int(m))
 }
 
-// DefaultStaleMaxAge is the default staleness bound, in seconds of
+// DefaultStaleMaxAge is the ladder's staleness bound, in seconds of
 // observation time: how long last-known fixes are re-emitted before a
 // beacon's tracking state is given up on. The fleet manager reuses it
 // as the default idle age before a silent session is evicted — "too
 // stale to show" and "too idle to keep resident" are the same horizon.
 const DefaultStaleMaxAge = 10
 
+// rssOnlyExponent is the path-loss exponent the RSS-only proximity rung
+// assumes (no geometry to fit one from): the middle of the indoor band.
+const rssOnlyExponent = 2.5
+
 // LadderConfig tunes the degradation ladder. The zero value enables
-// every rung with calibrated defaults; the Disable switches restore the
-// historical fail-hard contract per rung.
+// every rung; the Disable switches restore the historical fail-hard
+// contract per rung. A last-known fix is re-emitted for at most
+// DefaultStaleMaxAge seconds after the last real fix.
 type LadderConfig struct {
 	// DisableRSSOnly turns off the RSS-only proximity rung: an IMU
 	// failure rejects the measurement as before.
@@ -60,25 +65,6 @@ type LadderConfig struct {
 	// DisableLastKnown turns off last-known-fix re-emission in the
 	// tracking loops.
 	DisableLastKnown bool
-	// StaleMaxAge is how long (seconds) a last-known fix may be
-	// re-emitted after the last real fix before the ladder gives up and
-	// the beacon's tracking state is evicted. Zero selects 10 s.
-	StaleMaxAge float64
-	// RSSOnlyExponent is the path-loss exponent assumed by the RSS-only
-	// proximity rung (no geometry to fit one from). Zero selects 2.5,
-	// the middle of the indoor band.
-	RSSOnlyExponent float64
-}
-
-// ladderDefaults fills zero fields.
-func (c LadderConfig) withDefaults() LadderConfig {
-	if c.StaleMaxAge <= 0 {
-		c.StaleMaxAge = DefaultStaleMaxAge
-	}
-	if c.RSSOnlyExponent <= 0 {
-		c.RSSOnlyExponent = 2.5
-	}
-	return c
 }
 
 // tryRSSOnly is the ladder's second rung: when prepare rejected the
@@ -88,8 +74,7 @@ func (c LadderConfig) withDefaults() LadderConfig {
 // both the cause (imu-dropout) and the rung (rss-only-fallback), and an
 // Ambiguous estimate (range is known, bearing is not).
 func (e *Engine) tryRSSOnly(tr *sim.Trace, beaconName string, cause error) (*Measurement, bool) {
-	lad := e.cfg.Ladder.withDefaults()
-	if lad.DisableRSSOnly {
+	if e.cfg.Ladder.DisableRSSOnly {
 		return nil, false
 	}
 	var re *RejectedError
@@ -142,7 +127,7 @@ func (e *Engine) tryRSSOnly(tr *sim.Trace, beaconName string, cause error) (*Mea
 			break
 		}
 	}
-	n := lad.RSSOnlyExponent
+	n := rssOnlyExponent
 	d := rf.PathLossDistance(vMax, gamma, n)
 	maxRange := e.cfg.Estimator.MaxRange
 	if maxRange <= 0 {

@@ -320,11 +320,10 @@ func (s *TrackSession) fix(tEnd float64) (*TrackPoint, error) {
 // bound. Beyond the bound the tracking state is evicted — an ancient fix
 // must neither be shown nor steer later mirror-ambiguity resolution.
 func (s *TrackSession) staleFix(tEnd float64) *TrackPoint {
-	lad := s.eng.cfg.Ladder.withDefaults()
-	if lad.DisableLastKnown || s.last == nil {
+	if s.eng.cfg.Ladder.DisableLastKnown || s.last == nil {
 		return nil
 	}
-	if tEnd-s.last.T > lad.StaleMaxAge {
+	if tEnd-s.last.T > DefaultStaleMaxAge {
 		s.last = nil
 		s.evicted++
 		s.eng.met.sessEvicted.Inc()
@@ -567,9 +566,14 @@ func (s *TrackSession) Checkpoint() *SessionCheckpoint {
 	return cp
 }
 
-// WriteCheckpoint serializes a checkpoint as JSON.
+// WriteCheckpoint writes the session's checkpoint in EncodeCheckpoint's
+// bytes, the same a checkpoint store keeps.
 func (s *TrackSession) WriteCheckpoint(w io.Writer) error {
-	if err := json.NewEncoder(w).Encode(s.Checkpoint()); err != nil {
+	raw, err := EncodeCheckpoint(s.Checkpoint())
+	if err == nil {
+		_, err = w.Write(raw)
+	}
+	if err != nil {
 		return fmt.Errorf("core: write checkpoint: %w", err)
 	}
 	return nil
@@ -655,12 +659,17 @@ func (e *Engine) RestoreTrackSession(cp *SessionCheckpoint) (*TrackSession, erro
 	return s, nil
 }
 
-// RestoreTrackSessionFrom reads a JSON checkpoint (written by
-// WriteCheckpoint) and restores the session.
+// RestoreTrackSessionFrom reads a checkpoint written by WriteCheckpoint
+// and restores the session. Bytes that do not decode match
+// ErrCorruptCheckpoint, as DecodeCheckpoint reports them.
 func (e *Engine) RestoreTrackSessionFrom(r io.Reader) (*TrackSession, error) {
-	var cp SessionCheckpoint
-	if err := json.NewDecoder(r).Decode(&cp); err != nil {
+	raw, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("core: read checkpoint: %w", err)
 	}
-	return e.RestoreTrackSession(&cp)
+	cp, err := DecodeCheckpoint(raw)
+	if err != nil {
+		return nil, err
+	}
+	return e.RestoreTrackSession(cp)
 }

@@ -180,7 +180,8 @@ func TestTrackSessionCheckpointRestore(t *testing.T) {
 
 // TestCheckpointCodec: the bytes checkpoint stores keep are exactly
 // json.Marshal's (so WAL records and snapshots already on disk read
-// back), and bytes that do not decode are typed as corruption.
+// back), WriteCheckpoint writes those same bytes, and bytes that do not
+// decode are typed as corruption on both read paths.
 func TestCheckpointCodec(t *testing.T) {
 	eng, err := NewEngine(DefaultConfig())
 	if err != nil {
@@ -201,6 +202,16 @@ func TestCheckpointCodec(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint(raw[:len(raw)/2]); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("DecodeCheckpoint(truncated) = %v, want ErrCorruptCheckpoint", err)
+	}
+	var written bytes.Buffer
+	if err := sess.WriteCheckpoint(&written); err != nil {
+		t.Fatalf("WriteCheckpoint: %v", err)
+	}
+	if !bytes.Equal(written.Bytes(), raw) {
+		t.Fatal("WriteCheckpoint bytes differ from EncodeCheckpoint's")
+	}
+	if _, err := eng.RestoreTrackSessionFrom(bytes.NewReader(raw[:len(raw)/2])); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("RestoreTrackSessionFrom(truncated) = %v, want ErrCorruptCheckpoint", err)
 	}
 }
 

@@ -29,9 +29,6 @@ type Options struct {
 	// clean Close. Saves are acknowledged as buffered, not durable —
 	// Durable() reports false so the fleet accounts them honestly.
 	Buffered bool
-	// MaxRecordBytes bounds one record's payload; recovery treats
-	// anything claiming to be larger as damage. Zero selects 8 MiB.
-	MaxRecordBytes int
 	// FS overrides the filesystem (tests inject MemFS or fault
 	// wrappers). Nil selects the real directory at the Open path.
 	FS FS
@@ -47,9 +44,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if opt.SnapshotEvery <= 0 {
 		opt.SnapshotEvery = 512
-	}
-	if opt.MaxRecordBytes <= 0 {
-		opt.MaxRecordBytes = defaultMaxRecord
 	}
 	return opt
 }
@@ -422,7 +416,7 @@ func (sh *walShard) scanFile(name string, apply func(byte, string, []byte), side
 	if err != nil {
 		return scanStats{}, fmt.Errorf("durable: read %s: %w", name, err)
 	}
-	return walScan(b, sh.st.opt.MaxRecordBytes, apply, sideline), nil
+	return walScan(b, defaultMaxRecord, apply, sideline), nil
 }
 
 // sideliner appends damaged regions to the shard's quarantine file.

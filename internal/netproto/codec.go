@@ -532,7 +532,7 @@ type helloAck struct {
 
 // hello opens locb1 on a fresh client connection: it sends the JSON
 // hello frame and reads the server's JSON ack. A shed connection
-// reports resilience.ErrOverloaded; any other answer is a refusal.
+// reports ErrOverloaded; any other answer is a refusal.
 // Deadlines are left set; the caller owns the connection afterwards.
 func hello(ctx context.Context, conn net.Conn, br *bufio.Reader) error {
 	dl := time.Now().Add(FrameTimeout)

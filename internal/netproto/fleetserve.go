@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"locble/internal/fleet"
-	"locble/internal/resilience"
 )
 
 // PushObs is one fleet observation on the wire: the beacon it belongs
@@ -244,7 +243,7 @@ func DialFleet(ctx context.Context, addr string) (*FleetClient, error) {
 		wfb:        newFrameBuf(),
 	}
 	switch err := hello(ctx, conn, c.br); {
-	case errors.Is(err, resilience.ErrOverloaded):
+	case errors.Is(err, ErrOverloaded):
 		// Shed at admission: the dial still succeeds and the first
 		// exchange reports the overload, as it would had the shed frame
 		// answered a push.
@@ -420,11 +419,11 @@ func (c *FleetClient) writeDrain() error {
 }
 
 // exchangeError types an exchange-level error frame; "overloaded" maps
-// to resilience.ErrOverloaded so the caller's retry policy or breaker
+// to ErrOverloaded so the caller's retry policy or breaker
 // can back off on it.
 func exchangeError(op, msg string) error {
 	if msg == "overloaded" {
-		return fmt.Errorf("netproto: %s: %w", op, resilience.ErrOverloaded)
+		return fmt.Errorf("netproto: %s: %w", op, ErrOverloaded)
 	}
 	return fmt.Errorf("netproto: %s: server error: %s", op, msg)
 }

@@ -13,7 +13,6 @@ import (
 	"locble/internal/durable"
 	"locble/internal/estimate"
 	"locble/internal/fleet"
-	"locble/internal/resilience"
 	"locble/internal/testutil"
 )
 
@@ -184,7 +183,7 @@ func TestPushOpNoFleet(t *testing.T) {
 
 // TestPushOpOverloadShed: pushes ride the same admission control as
 // every other op — a connection over the cap is shed with an
-// "overloaded" frame the client surfaces as resilience.ErrOverloaded.
+// "overloaded" frame the client surfaces as ErrOverloaded.
 func TestPushOpOverloadShed(t *testing.T) {
 	srv, _ := newPushServer(t, ServerConfig{MaxConns: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -207,8 +206,8 @@ func TestPushOpOverloadShed(t *testing.T) {
 	}
 	defer shed.Close()
 	_, err = shed.Push(ctx, toWire(fleet.SynthStream("shed", 4, 0)))
-	if !errors.Is(err, resilience.ErrOverloaded) {
-		t.Fatalf("shed Push error = %v, want resilience.ErrOverloaded", err)
+	if !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("shed Push error = %v, want ErrOverloaded", err)
 	}
 }
 

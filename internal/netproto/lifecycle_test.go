@@ -6,12 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"locble/internal/fleet"
-	"locble/internal/resilience"
+	"locble/internal/obs"
 	"locble/internal/testutil"
 )
 
@@ -111,6 +112,17 @@ func TestServerRecoversHandlerPanic(t *testing.T) {
 			if got := metPanicsRecovered.Value() - before; got < 1 {
 				t.Errorf("panics.recovered delta = %d, want ≥1", got)
 			}
+			// One recovery, one counter: the process snapshot holds no
+			// second panics counter to double-count it.
+			var counters []string
+			for name := range obs.Default.Snapshot().Counters {
+				if strings.HasSuffix(name, "panics.recovered") {
+					counters = append(counters, name)
+				}
+			}
+			if len(counters) != 1 {
+				t.Errorf("process-wide panic counters = %v, want exactly one", counters)
+			}
 		})
 	}
 }
@@ -152,7 +164,7 @@ func TestServerShedsOverConnCap(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
 			shedBefore := metConnsShed.Value()
-			if err := run(ctx); !errors.Is(err, resilience.ErrOverloaded) {
+			if err := run(ctx); !errors.Is(err, ErrOverloaded) {
 				t.Fatalf("%s over cap = %v, want ErrOverloaded", op, err)
 			}
 			if metConnsShed.Value() <= shedBefore {

@@ -32,7 +32,6 @@ import (
 
 	"locble/internal/fleet"
 	"locble/internal/obs"
-	"locble/internal/resilience"
 )
 
 // Protocol constants.
@@ -55,6 +54,10 @@ const (
 var (
 	ErrFrameTooLarge = errors.New("netproto: frame exceeds maximum size")
 	ErrBadMagic      = errors.New("netproto: bad protocol magic")
+	// ErrOverloaded reports a connection shed by the connection cap: the
+	// server answered "overloaded" before starting the request, so it is
+	// safe to retry later or elsewhere.
+	ErrOverloaded = errors.New("netproto: overloaded")
 )
 
 // TimedRSS is one RSS reading in a trace bundle.
@@ -251,7 +254,7 @@ func (t *connTable) closeAll() {
 // reset that destroys the reply — then answers with one "overloaded"
 // frame and closes. Both deadlines are bounded by timeout, so a shed
 // lives at most ~2×timeout. The client's fetch surfaces the frame as
-// resilience.ErrOverloaded, which its retry policy backs off on.
+// ErrOverloaded, which its retry policy backs off on.
 func shedConn(conn net.Conn, timeout time.Duration, wg *sync.WaitGroup) {
 	metConnsShed.Inc()
 	wg.Add(1)
@@ -504,9 +507,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.conns.drop(conn)
 		metConnsActive.Add(-1)
 	}()
-	defer resilience.CatchPanic("netproto.conn", s.cfg.Logf, func(any) {
-		metPanicsRecovered.Inc()
-	})()
+	defer func() {
+		if v := recover(); v != nil {
+			metPanicsRecovered.Inc()
+			s.cfg.Logf("netproto: recovered panic in connection handler: %v", v)
+		}
+	}()
 
 	// Deadlines are per frame, refreshed before each read and write: a
 	// connection-scoped deadline would expire in the middle of a long
@@ -747,7 +753,7 @@ func fetchOnce(ctx context.Context, addr string) (*TraceBundle, error) {
 	case "overloaded":
 		// A shed connection: typed so the retry policy (or the caller's
 		// breaker) can back off and try again once load clears.
-		return nil, fmt.Errorf("netproto: fetch %s: %w", addr, resilience.ErrOverloaded)
+		return nil, fmt.Errorf("netproto: fetch %s: %w", addr, ErrOverloaded)
 	default:
 		return nil, fmt.Errorf("netproto: fetch %s: server error: %s", addr, resp.Err)
 	}

@@ -41,6 +41,11 @@ type metrics struct {
 	nodeErrors     *obs.Counter
 	reconnects     *obs.Counter
 
+	// Breaker transitions, summed over the router's nodes.
+	breakerToOpen     *obs.Counter
+	breakerToHalfOpen *obs.Counter
+	breakerToClosed   *obs.Counter
+
 	// Per-node: batches and observations landed, exchange latency.
 	node []nodeMetrics
 }
@@ -68,6 +73,10 @@ func newMetrics(n int) *metrics {
 		nodeErrors:      r.Counter("router.node.errors"),
 		reconnects:      r.Counter("router.backend.reconnects"),
 		node:            make([]nodeMetrics, n),
+
+		breakerToOpen:     r.Counter("router.breaker.to_open"),
+		breakerToHalfOpen: r.Counter("router.breaker.to_halfopen"),
+		breakerToClosed:   r.Counter("router.breaker.to_closed"),
 	}
 	for i := range m.node {
 		m.node[i] = nodeMetrics{

@@ -1,37 +1,39 @@
 // Consistent-hash ring: the deterministic beacon→node map behind the
-// multi-node router. Each in-ring node contributes VNodes points placed
-// by a seeded FNV-1a hash of "addr#v"; a beacon hashes onto the circle
-// with the same seeded hash and lands on the first point clockwise.
-// Virtual nodes spread each node's key range into many small arcs, so
-// removing one node (a drain) scatters only its own beacons — evenly —
-// over the survivors, and every other beacon keeps its owner. The seed
-// makes the whole placement reproducible: two routers built with the
-// same node list, VNodes and Seed agree on every beacon's owner, which
-// is what lets independent gateways route consistently without talking
-// to each other.
+// multi-node router. Each in-ring node contributes ringVNodes points
+// placed by an FNV-1a hash of "addr#v"; a beacon hashes onto the circle
+// with the same hash and lands on the first point clockwise. Virtual
+// nodes spread each node's key range into many small arcs, so removing
+// one node (a drain) scatters only its own beacons — evenly — over the
+// survivors, and every other beacon keeps its owner. The placement is a
+// pure function of the node list, which is what lets independent
+// gateways route consistently without talking to each other.
 package router
 
 import "sort"
 
-// fnv64 constants (the same hash the fleet's shard index uses, here
-// salted with a seed so ring placements are reproducible yet tunable).
+// ringVNodes is the number of virtual ring points per node.
+const ringVNodes = 64
+
+// fnv64 constants (the same hash the fleet's shard index uses).
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// ringHash is seeded FNV-1a over key plus a vnode ordinal (vn < 0 skips
-// the ordinal — the form beacon keys use), finished with a full-width
-// bit mixer. Raw FNV-1a is fine for the fleet's modulo shard index but
-// not for a ring: a trailing byte only passes through one multiply, so
+// ringHash is FNV-1a over key plus a vnode ordinal (vn < 0 skips the
+// ordinal — the form beacon keys use), finished with a full-width bit
+// mixer. Raw FNV-1a is fine for the fleet's modulo shard index but not
+// for a ring: a trailing byte only passes through one multiply, so
 // related keys ("beacon-001", "beacon-002") barely differ in the high
 // bits that decide ring position and whole nodes can end up owning
 // nothing. The finalizer (64-bit avalanche, murmur-style constants)
 // spreads every input bit across the word.
-func ringHash(seed uint64, key string, vn int) uint64 {
+func ringHash(key string, vn int) uint64 {
 	h := uint64(fnvOffset64)
+	// Every key starts with eight zero bytes (xor with zero is a no-op,
+	// so only the multiplies remain). Dropping them would give every
+	// beacon a new owner.
 	for i := 0; i < 8; i++ {
-		h ^= (seed >> (8 * i)) & 0xff
 		h *= fnvPrime64
 	}
 	for i := 0; i < len(key); i++ {
@@ -66,15 +68,15 @@ type ring struct {
 	pts []vpoint
 }
 
-// buildRing places VNodes points per member node. members maps node
+// buildRing places ringVNodes points per member node. members maps node
 // index → address; order ties on equal hashes break by node index, so
 // the ring is deterministic even under (astronomically unlikely) hash
 // collisions.
-func buildRing(members map[int]string, vnodes int, seed uint64) ring {
-	pts := make([]vpoint, 0, len(members)*vnodes)
+func buildRing(members map[int]string) ring {
+	pts := make([]vpoint, 0, len(members)*ringVNodes)
 	for idx, addr := range members {
-		for v := 0; v < vnodes; v++ {
-			pts = append(pts, vpoint{hash: ringHash(seed, addr, v), node: idx})
+		for v := 0; v < ringVNodes; v++ {
+			pts = append(pts, vpoint{hash: ringHash(addr, v), node: idx})
 		}
 	}
 	sort.Slice(pts, func(i, j int) bool {

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"context"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 )
@@ -13,52 +15,34 @@ func testMembers(n int) map[int]string {
 	return m
 }
 
-func keyOwner(rg ring, seed uint64, key string) int {
-	return rg.owner(ringHash(seed, key, -1))
+func keyOwner(rg ring, key string) int {
+	return rg.owner(ringHash(key, -1))
 }
 
-// TestRingDeterministic: two rings built from the same members, vnode
-// count and seed agree on every key — the property that lets
-// independent gateways route consistently without coordination.
+// TestRingDeterministic: two rings built from the same members agree on
+// every key — the property that lets independent gateways route
+// consistently without coordination.
 func TestRingDeterministic(t *testing.T) {
-	const seed = 42
-	a := buildRing(testMembers(3), 64, seed)
-	b := buildRing(testMembers(3), 64, seed)
-	if len(a.pts) != 3*64 || len(b.pts) != 3*64 {
-		t.Fatalf("ring sizes %d, %d, want %d", len(a.pts), len(b.pts), 3*64)
+	a := buildRing(testMembers(3))
+	b := buildRing(testMembers(3))
+	if len(a.pts) != 3*ringVNodes || len(b.pts) != 3*ringVNodes {
+		t.Fatalf("ring sizes %d, %d, want %d", len(a.pts), len(b.pts), 3*ringVNodes)
 	}
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("beacon-%03d", i)
-		if ao, bo := keyOwner(a, seed, key), keyOwner(b, seed, key); ao != bo {
+		if ao, bo := keyOwner(a, key), keyOwner(b, key); ao != bo {
 			t.Fatalf("key %q: owners %d vs %d across identical rings", key, ao, bo)
 		}
-	}
-}
-
-// TestRingSeedChangesPlacement: a different seed produces a genuinely
-// different placement (the seed is live, not decorative).
-func TestRingSeedChangesPlacement(t *testing.T) {
-	a := buildRing(testMembers(3), 64, 1)
-	b := buildRing(testMembers(3), 64, 2)
-	moved := 0
-	for i := 0; i < 500; i++ {
-		key := fmt.Sprintf("beacon-%03d", i)
-		if keyOwner(a, 1, key) != keyOwner(b, 2, key) {
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Fatal("changing the seed moved no keys — the seed is not salting the hash")
 	}
 }
 
 // TestRingDistribution: with 64 vnodes each of 3 nodes owns a
 // non-degenerate share of 600 keys (virtual nodes are doing their job).
 func TestRingDistribution(t *testing.T) {
-	rg := buildRing(testMembers(3), 64, 7)
+	rg := buildRing(testMembers(3))
 	counts := make(map[int]int)
 	for i := 0; i < 600; i++ {
-		counts[keyOwner(rg, 7, fmt.Sprintf("beacon-%03d", i))]++
+		counts[keyOwner(rg, fmt.Sprintf("beacon-%03d", i))]++
 	}
 	for n := 0; n < 3; n++ {
 		if counts[n] < 60 { // 10% of keys; an even split would be 200
@@ -72,16 +56,15 @@ func TestRingDistribution(t *testing.T) {
 // owner. This is what makes Drain a local event instead of a full
 // rebalance.
 func TestRingRemovalStability(t *testing.T) {
-	const seed = 11
 	full := testMembers(3)
-	before := buildRing(full, 64, seed)
+	before := buildRing(full)
 	delete(full, 1)
-	after := buildRing(full, 64, seed)
+	after := buildRing(full)
 
 	remapped := 0
 	for i := 0; i < 600; i++ {
 		key := fmt.Sprintf("beacon-%03d", i)
-		ob, oa := keyOwner(before, seed, key), keyOwner(after, seed, key)
+		ob, oa := keyOwner(before, key), keyOwner(after, key)
 		if ob == 1 {
 			if oa == 1 {
 				t.Fatalf("key %q still owned by removed node", key)
@@ -101,8 +84,8 @@ func TestRingRemovalStability(t *testing.T) {
 // TestRingWalkVisitsAllDistinct: the failover walk offers every node
 // exactly once, home first.
 func TestRingWalkVisitsAllDistinct(t *testing.T) {
-	rg := buildRing(testMembers(3), 16, 3)
-	h := ringHash(3, "walk-key", -1)
+	rg := buildRing(testMembers(3))
+	h := ringHash("walk-key", -1)
 	var order []int
 	rg.walk(h, func(n int) bool {
 		order = append(order, n)
@@ -125,9 +108,40 @@ func TestRingWalkVisitsAllDistinct(t *testing.T) {
 
 // TestRingEmpty: an empty ring owns nothing and walks nowhere.
 func TestRingEmpty(t *testing.T) {
-	rg := buildRing(nil, 64, 0)
+	rg := buildRing(nil)
 	if got := rg.owner(123); got != -1 {
 		t.Fatalf("empty ring owner = %d, want -1", got)
 	}
 	rg.walk(123, func(int) bool { t.Fatal("walk on empty ring visited a node"); return false })
+}
+
+// TestRingPlacementPinned: routed placement is part of a deployment's
+// contract — gateways of different builds must agree, and a beacon's
+// home holds its session — so the owners of 1,000 beacons on a fixed
+// 3-node list are pinned to the values the ring has always produced.
+func TestRingPlacementPinned(t *testing.T) {
+	addrs := []string{"10.0.0.1:7000", "10.0.0.2:7000", "10.0.0.3:7000"}
+	r, _ := fakeRouter(t, &stepClock{}, addrs...)
+	beacons := make([]string, 1000)
+	for i := range beacons {
+		beacons[i] = fmt.Sprintf("beacon-%04d", i)
+	}
+	results, err := r.PushBatch(context.Background(), batchOf(beacons, 0))
+	if err != nil {
+		t.Fatalf("PushBatch: %v", err)
+	}
+	owners := make([]byte, len(results))
+	var counts [3]int
+	for i, res := range results {
+		for ni, a := range addrs {
+			if res.Node == a {
+				owners[i] = byte('0' + ni)
+				counts[ni]++
+			}
+		}
+	}
+	const want = "1d37e12e824e4727c17f93bde0479c854988e548976f74833fa23d1376f760cd"
+	if got := fmt.Sprintf("%x", sha256.Sum256(owners)); got != want || counts != [3]int{345, 292, 363} {
+		t.Fatalf("placement moved: owners per node %v, digest %s; want [345 292 363], %s (first owners %s)", counts, got, want, owners[:40])
+	}
 }

@@ -1,7 +1,7 @@
 // Package router scales fleet serving across machines: a consistent-
 // hash router that fans mixed-beacon observation batches out over N
 // netproto fleet servers and merges the per-beacon results back in
-// input order. Beacons map to nodes through a seeded, deterministic
+// input order. Beacons map to nodes through a deterministic
 // virtual-node ring (ring.go), so every observation for one beacon
 // lands on the same node and the routed results are bit-identical to a
 // single fleet replaying the same stream sequentially — sharding
@@ -14,9 +14,9 @@
 // store, the drained beacons re-admit on the surviving nodes by
 // restoring those checkpoints bit-exactly — a planned handoff loses
 // zero acknowledged fixes. A node that dies without draining trips its
-// per-node circuit breaker (resilience.Breaker): its key range fails
-// over clockwise to the surviving nodes, and the affected results are
-// typed Degraded (the failover node may lack the dead node's undrained
+// per-node circuit breaker (breaker.go): its key range fails over
+// clockwise to the surviving nodes, and the affected results are typed
+// Degraded (the failover node may lack the dead node's undrained
 // session state) rather than errors — traffic keeps flowing.
 package router
 
@@ -29,7 +29,6 @@ import (
 
 	"locble/internal/fleet"
 	"locble/internal/netproto"
-	"locble/internal/resilience"
 )
 
 // Errors.
@@ -50,38 +49,15 @@ var (
 // until the next checkpoint cycle.
 const ReasonNodeFailover = "node-failover"
 
-// Config configures a Router.
+// Config configures a Router. Every router places beacons with the same
+// ring (ringVNodes points per node, fixed hash), so the gateways of one
+// deployment agree on each beacon's owner without talking to each
+// other, and every node's breaker follows the same policy (breaker.go).
 type Config struct {
-	// VNodes is the number of virtual ring points per node (default 64).
-	// More vnodes spread a membership change more evenly at the cost of
-	// a larger ring.
-	VNodes int
-	// Seed salts the ring hash. Routers sharing addrs, VNodes and Seed
-	// agree on every beacon's owner — keep it fixed across the gateways
-	// of one deployment. The default 0 is itself deterministic.
-	Seed uint64
-	// Breaker tunes the per-node circuit breaker. Zero fields take
-	// router defaults (window 6, min samples 2, 50% failure rate): a
-	// couple of failed exchanges open the breaker, and its half-open
-	// probes re-admit the node when it answers again.
-	Breaker resilience.BreakerConfig
 	// Codec names the wire codec spoken to each node. locb1 is the only
 	// one, so New accepts only "" and netproto.CodecBinary; the field
 	// remains because callers (the perfbench harness) set it explicitly.
 	Codec string
-}
-
-func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.Breaker.Window == 0 {
-		c.Breaker.Window = 6
-	}
-	if c.Breaker.MinSamples == 0 {
-		c.Breaker.MinSamples = 2
-	}
-	return c
 }
 
 // Result is one beacon's merged outcome of a routed PushBatch, in
@@ -130,7 +106,7 @@ type node struct {
 	idx  int
 	addr string
 	be   Backend
-	br   *resilience.Breaker
+	br   *breaker
 
 	draining atomic.Bool
 	drained  atomic.Int64
@@ -139,7 +115,6 @@ type node struct {
 // Router fans batched fleet ingest over N nodes. All methods are safe
 // for concurrent use.
 type Router struct {
-	cfg Config
 	met *metrics
 
 	nodes []*node
@@ -163,7 +138,7 @@ func New(addrs []string, cfg Config) (*Router, error) {
 		dials[i] = &dialBackend{addr: a}
 		backends[i] = dials[i]
 	}
-	r, err := newWithBackends(addrs, backends, cfg)
+	r, err := newWithBackends(addrs, backends)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +149,7 @@ func New(addrs []string, cfg Config) (*Router, error) {
 }
 
 // newWithBackends is New with explicit transports (tests inject fakes).
-func newWithBackends(addrs []string, backends []Backend, cfg Config) (*Router, error) {
+func newWithBackends(addrs []string, backends []Backend) (*Router, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("router: no node addresses")
 	}
@@ -188,18 +163,16 @@ func newWithBackends(addrs []string, backends []Backend, cfg Config) (*Router, e
 		}
 		seen[a] = true
 	}
-	cfg = cfg.withDefaults()
 	r := &Router{
-		cfg:   cfg,
 		met:   newMetrics(len(addrs)),
 		nodes: make([]*node, len(addrs)),
 	}
 	members := make(map[int]string, len(addrs))
 	for i, a := range addrs {
-		r.nodes[i] = &node{idx: i, addr: a, be: backends[i], br: resilience.NewBreaker(cfg.Breaker)}
+		r.nodes[i] = &node{idx: i, addr: a, be: backends[i], br: newBreaker(r.met)}
 		members[i] = a
 	}
-	r.ring = buildRing(members, cfg.VNodes, cfg.Seed)
+	r.ring = buildRing(members)
 	r.met.ringNodes.Set(int64(len(addrs)))
 	return r, nil
 }
@@ -210,6 +183,13 @@ type pending struct {
 	gi    int
 	hash  uint64
 	tried map[int]bool
+}
+
+// share is one node's part of a routing round: the groups it carries in
+// one exchange, and the breaker epoch that exchange settles.
+type share struct {
+	ps    []*pending
+	epoch uint64
 }
 
 // PushBatch routes a mixed observation batch to its nodes, pushes the
@@ -255,15 +235,15 @@ func (r *Router) PushBatch(ctx context.Context, batch []fleet.Obs) ([]Result, er
 
 	round := make([]*pending, len(results))
 	for g := range results {
-		round[g] = &pending{gi: g, hash: ringHash(r.cfg.Seed, results[g].Beacon, -1)}
+		round[g] = &pending{gi: g, hash: ringHash(results[g].Beacon, -1)}
 	}
 	// Assignment/execution rounds: round 1 sends every group to its home
 	// node; groups whose exchange failed re-enter with that node
 	// excluded and fail over clockwise. At most len(nodes) rounds.
 	for len(round) > 0 {
-		plan := make(map[int][]*pending)
+		plan := make(map[int]*share) // nil: the node's breaker refused this round
 		for _, p := range round {
-			ni, skipped := r.pick(rg, p.hash, p.tried)
+			ni, skipped := r.pick(rg, p.hash, p.tried, plan)
 			if ni < 0 {
 				if results[p.gi].Err == nil {
 					results[p.gi].Err = ErrNoNodes
@@ -275,27 +255,27 @@ func (r *Router) PushBatch(ctx context.Context, batch []fleet.Obs) ([]Result, er
 				results[p.gi].DegradedReason = ReasonNodeFailover
 				r.met.failoverGroups.Inc()
 			}
-			plan[ni] = append(plan[ni], p)
-		}
-		if len(plan) == 0 {
-			break
+			plan[ni].ps = append(plan[ni].ps, p)
 		}
 		var (
 			wg     sync.WaitGroup
 			nextMu sync.Mutex
 			next   []*pending
 		)
-		for ni, ps := range plan {
+		for ni, sh := range plan {
+			if sh == nil {
+				continue
+			}
 			wg.Add(1)
-			go func(ni int, ps []*pending) {
+			go func(ni int, sh *share) {
 				defer wg.Done()
-				failed := r.pushNode(ctx, ni, ps, groupObs, results)
-				if len(failed) > 0 {
+				retry := r.pushNode(ctx, ni, sh, groupObs, results)
+				if len(retry) > 0 {
 					nextMu.Lock()
-					next = append(next, failed...)
+					next = append(next, retry...)
 					nextMu.Unlock()
 				}
-			}(ni, ps)
+			}(ni, sh)
 		}
 		wg.Wait()
 		round = next
@@ -303,12 +283,14 @@ func (r *Router) PushBatch(ctx context.Context, batch []fleet.Obs) ([]Result, er
 	return results, nil
 }
 
-// pushNode sends one node its share of a batch and fills the result
-// slots (disjoint across nodes, so no locking). It returns the groups
-// to fail over after an exchange-level failure; a canceled context
-// reports the context error instead of blaming the node.
-func (r *Router) pushNode(ctx context.Context, ni int, ps []*pending, groupObs [][]netproto.PushObs, results []Result) []*pending {
+// pushNode sends one node its share of a round in one exchange, settles
+// the exchange with the node's breaker and fills the result slots
+// (disjoint across nodes, so no locking). It returns the groups to fail
+// over after an exchange-level failure; a canceled context reports the
+// context error instead of blaming the node.
+func (r *Router) pushNode(ctx context.Context, ni int, sh *share, groupObs [][]netproto.PushObs, results []Result) []*pending {
 	n := r.nodes[ni]
+	ps := sh.ps
 	wire := make([]netproto.PushObs, 0, 64)
 	for _, p := range ps {
 		wire = append(wire, groupObs[p.gi]...)
@@ -322,7 +304,8 @@ func (r *Router) pushNode(ctx context.Context, ni int, ps []*pending, groupObs [
 	if err != nil {
 		if ctx.Err() != nil {
 			// The caller gave up, the node did nothing wrong: report the
-			// context error and leave the breaker alone.
+			// context error and hand the admission back.
+			n.br.settle(sh.epoch, canceled)
 			for _, p := range ps {
 				if results[p.gi].Err == nil {
 					results[p.gi].Err = ctx.Err()
@@ -330,7 +313,7 @@ func (r *Router) pushNode(ctx context.Context, ni int, ps []*pending, groupObs [
 			}
 			return nil
 		}
-		n.br.RecordFailure()
+		n.br.settle(sh.epoch, failed)
 		r.met.nodeErrors.Inc()
 		for _, p := range ps {
 			if p.tried == nil {
@@ -340,7 +323,7 @@ func (r *Router) pushNode(ctx context.Context, ni int, ps []*pending, groupObs [
 		}
 		return ps
 	}
-	n.br.RecordSuccess()
+	n.br.settle(sh.epoch, succeeded)
 	byName := make(map[string]*netproto.PushResult, len(res))
 	for i := range res {
 		byName[res[i].Beacon] = &res[i]
@@ -370,12 +353,15 @@ func (r *Router) pushNode(ctx context.Context, ni int, ps []*pending, groupObs [
 
 // pick walks the ring clockwise from a key hash and returns the first
 // usable node: in the ring, not being drained, not already tried this
-// batch, and admitted by its breaker. skipped reports whether a live
-// candidate was passed over because it is dead or already failed —
-// i.e. whether serving at the returned node is a failover rather than
-// a handoff (drained nodes left the ring; landing on their successor
-// is the planned topology, not degradation).
-func (r *Router) pick(rg ring, h uint64, tried map[int]bool) (ni int, skipped bool) {
+// batch, and admitted by its breaker. A node's breaker is asked once
+// per round, when the node is first reached, and its admission covers
+// every group the round sends there: the round is one exchange, and
+// plan records the answer. skipped reports whether a live candidate was
+// passed over because it is dead or already failed — i.e. whether
+// serving at the returned node is a failover rather than a handoff
+// (drained nodes left the ring; landing on their successor is the
+// planned topology, not degradation).
+func (r *Router) pick(rg ring, h uint64, tried map[int]bool, plan map[int]*share) (ni int, skipped bool) {
 	ni = -1
 	rg.walk(h, func(cand int) bool {
 		n := r.nodes[cand]
@@ -389,7 +375,14 @@ func (r *Router) pick(rg ring, h uint64, tried map[int]bool) (ni int, skipped bo
 			skipped = true
 			return true
 		}
-		if err := n.br.Allow(); err != nil {
+		sh, asked := plan[cand]
+		if !asked {
+			if epoch, ok := n.br.allow(); ok {
+				sh = &share{epoch: epoch}
+			}
+			plan[cand] = sh
+		}
+		if sh == nil {
 			skipped = true
 			return true
 		}
@@ -453,10 +446,10 @@ func (r *Router) rebuildRingLocked() {
 			members[n.idx] = n.addr
 		}
 	}
-	r.ring = buildRing(members, r.cfg.VNodes, r.cfg.Seed)
+	r.ring = buildRing(members)
 	r.met.ringNodes.Set(int64(len(members)))
 	r.met.ringChurn.Inc()
-	r.met.rebalanceVNodes.Add(int64(r.cfg.VNodes))
+	r.met.rebalanceVNodes.Add(ringVNodes)
 }
 
 // Nodes reports every configured node's membership state, in the order
@@ -469,10 +462,10 @@ func (r *Router) Nodes() []NodeStatus {
 		case n.draining.Load():
 			st.State = "drained"
 		default:
-			switch n.br.State() {
-			case resilience.Open:
+			switch n.br.current() {
+			case breakerOpen:
 				st.State = "down"
-			case resilience.HalfOpen:
+			case breakerHalfOpen:
 				st.State = "probing"
 			default:
 				st.State = "up"

@@ -11,7 +11,6 @@ import (
 	"locble/internal/estimate"
 	"locble/internal/fleet"
 	"locble/internal/netproto"
-	"locble/internal/resilience"
 	"locble/internal/testutil"
 )
 
@@ -347,13 +346,14 @@ func TestRouterDrainHandoff(t *testing.T) {
 // without paying a dial.
 func TestRouterDeadNodeFailover(t *testing.T) {
 	nodes := startCluster(t, 3, nil)
-	// A long OpenTimeout keeps the tripped breaker open for the whole
-	// test — no half-open probes, so the failure accounting below is
-	// exact rather than timing-dependent.
-	r, err := New(clusterAddrs(nodes), Config{Breaker: resilience.BreakerConfig{OpenTimeout: time.Hour}})
+	// A frozen breaker clock keeps the tripped breaker open for the
+	// whole test — no half-open probes, so the failure accounting below
+	// is exact rather than timing-dependent.
+	r, err := New(clusterAddrs(nodes), Config{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	setBreakerClock(r, (&stepClock{}).Now)
 	defer r.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

@@ -525,7 +525,7 @@ func (s *System) NewFleet(cfg FleetConfig) (*Fleet, error) {
 
 // Multi-node routing: scale fleet serving across machines. A Router
 // fans mixed observation batches over N netproto fleet servers through
-// a seeded consistent-hash ring, merges per-beacon results in input
+// a consistent-hash ring, merges per-beacon results in input
 // order bit-identically to a single fleet's sequential replay, drains
 // nodes for planned membership changes (their sessions hand off through
 // the shared checkpoint store), and fails a dead node's key range over
@@ -534,8 +534,10 @@ func (s *System) NewFleet(cfg FleetConfig) (*Fleet, error) {
 type (
 	// Router is the consistent-hash fan-out over fleet servers.
 	Router = router.Router
-	// RouterConfig configures a Router (virtual nodes, ring seed,
-	// per-node circuit breaker).
+	// RouterConfig configures a Router. Its only field is the wire
+	// codec; the ring (64 virtual nodes per node) and the per-node
+	// circuit breaker are the same on every router, so gateways agree
+	// on each beacon's owner.
 	RouterConfig = router.Config
 	// RouterResult is one beacon's merged outcome of a routed
 	// PushBatch.
