@@ -107,26 +107,36 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || \
 		{ echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Instrumented end-to-end pipeline benchmark: stage-level latencies,
-# estimate error and allocation deltas from the metrics layer, plus the
-# IRLS and fleet-serving sections, as machine-readable JSON.
-# BENCH_pr2.json and BENCH_pr4.json are committed historical baselines —
-# BENCH_pr4.json is what the gate compares against; regenerate it (and
-# commit the result) only when a deliberate change moves the numbers.
+# Instrumented end-to-end pipeline benchmark, as machine-readable JSON:
+# LocateAll's wall, allocation deltas, stage latencies and estimate
+# error; the irls (Huber-loss rerun), fleet, durability, router and
+# wire sections; and the process counters, among them the solver's
+# runs, searches and iterations. BENCH_pr2.json and BENCH_pr4.json are
+# committed historical baselines — BENCH_pr4.json is what the gate
+# compares against; regenerate it (and commit the result) only when a
+# deliberate change moves the numbers.
 bench:
 	$(GO) run ./cmd/locble-bench -json BENCH_pr4.json
 
 # Allowed fractional wall-clock regression for `make benchgate`. CI
 # overrides this (hosted runners are slower and noisier than the
-# machine that recorded the baseline); allocation and accuracy gates
-# always run at the benchgate defaults.
+# machine that recorded the baseline); the allocation, accuracy and
+# durability tolerances always run at the benchgate defaults.
 BENCH_WALL_TOL ?= 0.10
 
-# Run the benchmark and gate it against the committed baseline: exits
-# nonzero on a wall regression beyond $(BENCH_WALL_TOL), >10% allocs/op
-# regression, or >5% accuracy regression. BENCH_pr4.json carries the
-# IRLS and fleet sections, so those gates are armed; the fresh report
-# goes to BENCH_gate.json (a derived file, removed by `make clean`).
+# Run the benchmark and gate it against the committed baseline, one row
+# per number (internal/pipebench/gate.go). It exits nonzero on:
+#   - wall growth beyond $(BENCH_WALL_TOL), twice that for the fleet and
+#     router walls and the wire frames/s shortfall;
+#   - >10% allocs; >5% error, frame size or solver work (runs,
+#     searches, iterations); >35% durability throughput or recovery;
+#   - a fixed contract: a fix lost, a degraded routed result, log
+#     damage, allocating warm robust fits, or locb1 losing its floors
+#     over JSON.
+# Every row is armed at the default. At CI's 0.5 all rows but one stay
+# armed: twice 0.5 lets wire frames/s fall to 0, so wire.speedup_x >= 2
+# is the only wire-throughput check left there. The fresh report goes
+# to BENCH_gate.json (a derived file, removed by `make clean`).
 benchgate:
 	$(GO) run ./cmd/benchgate -baseline BENCH_pr4.json -out BENCH_gate.json -wall-tol $(BENCH_WALL_TOL)
 

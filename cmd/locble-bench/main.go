@@ -122,7 +122,7 @@ func main() {
 // the true-position error distribution, and per-trial MemStats-derived
 // allocation deltas.
 func runPipelineBench(seed int64, trials int, path string) error {
-	rep, err := pipebench.Run(pipebench.Config{Seed: seed, Trials: trials, PerTrial: true})
+	rep, err := pipebench.Run(pipebench.Config{Seed: seed, Trials: trials})
 	if err != nil {
 		return err
 	}

@@ -82,14 +82,9 @@ type Config struct {
 	DisableEnvAware bool
 	// Tracker configures motion processing.
 	Tracker motion.TrackerConfig
-	// MinSegmentSamples is the minimum regression-segment size.
-	MinSegmentSamples int
 	// AKFMaxAlpha overrides the streaming AKF's maximum raw-stream blend
 	// weight (0 keeps the sigproc default; ablation knob).
 	AKFMaxAlpha float64
-	// Sanitize tunes the defensive input pass (zero fields take the
-	// calibrated defaults).
-	Sanitize SanitizeConfig
 	// Ladder tunes the graceful degradation ladder (zero value enables
 	// every rung with the calibrated defaults).
 	Ladder LadderConfig
@@ -100,16 +95,18 @@ func DefaultConfig() Config {
 	tc := motion.DefaultTrackerConfig()
 	tc.SnapRightAngles = true // the app instructs the user to turn 90°
 	return Config{
-		Estimator:         estimate.DefaultConfig(),
-		ButterworthOrder:  6,
-		CutoffHz:          0.9,
-		EnvWindow:         20,
-		EnvHysteresis:     1,
-		Tracker:           tc,
-		MinSegmentSamples: 10,
-		Sanitize:          DefaultSanitizeConfig(),
+		Estimator:        estimate.DefaultConfig(),
+		ButterworthOrder: 6,
+		CutoffHz:         0.9,
+		EnvWindow:        20,
+		EnvHysteresis:    1,
+		Tracker:          tc,
 	}
 }
+
+// minSegmentSamples is the minimum regression-segment size: the newest
+// environment's segment is fitted alone only with twice as many.
+const minSegmentSamples = 10
 
 // Engine is a ready-to-use LocBLE pipeline. The EnvAware classifier is
 // trained once (on the synthetic labelled dataset) and reused; an Engine
@@ -308,7 +305,7 @@ func (e *Engine) locate(ctx context.Context, tr *sim.Trace, beaconName string) (
 	var est *estimate.Estimate
 	if last := segStarts[len(segStarts)-1]; last > 0 {
 		lastObs := allObs[last:]
-		if len(lastObs) >= 2*e.cfg.MinSegmentSamples {
+		if len(lastObs) >= 2*minSegmentSamples {
 			lastEst, lastErr := estimate.Run(lastObs, estCfg)
 			if errors.Is(lastErr, estimate.ErrCanceled) {
 				return nil, canceledErr(ctx, "locate")

@@ -88,7 +88,7 @@ func (e *Engine) tryRSSOnly(tr *sim.Trace, beaconName string, cause error) (*Mea
 
 	// Re-sanitize without the IMU timeline: the RSS series must stand on
 	// its own for this rung.
-	scfg := e.cfg.Sanitize.withDefaults()
+	scfg := DefaultSanitizeConfig()
 	var h Health
 	clean := sanitizeObservations(obs, scfg, 0, &h)
 	if len(clean) < scfg.MinSamples {

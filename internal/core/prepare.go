@@ -36,7 +36,7 @@ func (e *Engine) prepare(tr *sim.Trace, beaconName string) (*prepared, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownBeacon, beaconName)
 	}
 
-	scfg := e.cfg.Sanitize.withDefaults()
+	scfg := DefaultSanitizeConfig()
 	p := &prepared{}
 	h := &p.health
 

@@ -8,8 +8,9 @@ import (
 	"locble/internal/sim"
 )
 
-// SanitizeConfig tunes the defensive input pass that runs before the
-// pipeline proper. The defaults are calibrated so a clean simulated trace
+// SanitizeConfig holds the thresholds of the defensive input pass that
+// runs before the pipeline proper. Every engine uses
+// DefaultSanitizeConfig, calibrated so a clean simulated trace
 // classifies as HealthOK (clean max inter-report gap is ~0.5 s at the
 // paper's 10 Hz advertising) while the impairments the faults package
 // injects are detected and reported.
@@ -70,49 +71,6 @@ func DefaultSanitizeConfig() SanitizeConfig {
 		CloneWindowS:  0.4,
 		CloneMinFlips: 6,
 	}
-}
-
-// withDefaults fills zero fields so a hand-built Config{} still
-// sanitizes sensibly.
-func (c SanitizeConfig) withDefaults() SanitizeConfig {
-	d := DefaultSanitizeConfig()
-	if c.MaxGap <= 0 {
-		c.MaxGap = d.MaxGap
-	}
-	if c.BridgeGap <= 0 {
-		c.BridgeGap = d.BridgeGap
-	}
-	if c.MinSpan <= 0 {
-		c.MinSpan = d.MinSpan
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = d.MinSamples
-	}
-	if c.MaxDropFrac <= 0 {
-		c.MaxDropFrac = d.MaxDropFrac
-	}
-	if c.RailFrac <= 0 {
-		c.RailFrac = d.RailFrac
-	}
-	if c.SkewTolerance <= 0 {
-		c.SkewTolerance = d.SkewTolerance
-	}
-	if c.IMUMaxGap <= 0 {
-		c.IMUMaxGap = d.IMUMaxGap
-	}
-	if c.IMURailFrac <= 0 {
-		c.IMURailFrac = d.IMURailFrac
-	}
-	if c.CloneDeltaDB <= 0 {
-		c.CloneDeltaDB = d.CloneDeltaDB
-	}
-	if c.CloneWindowS <= 0 {
-		c.CloneWindowS = d.CloneWindowS
-	}
-	if c.CloneMinFlips <= 0 {
-		c.CloneMinFlips = d.CloneMinFlips
-	}
-	return c
 }
 
 // sanitizeObservations returns a cleaned copy of obs: non-finite and

@@ -1,16 +1,18 @@
 // Package pipebench runs the instrumented end-to-end pipeline benchmark
-// shared by cmd/locble-bench (-json) and cmd/benchgate: repeated
-// LocateAll batches over the default three-beacon scenario on one
-// System, reported as machine-readable JSON — wall time, per-stage
-// latency from the engine's metric registry, the deterministic
-// localization-error distribution, and runtime.MemStats-derived
-// allocation deltas per LocateAll call.
+// shared by cmd/locble-bench (-json) and cmd/benchgate, and gates its
+// report. The report is machine-readable JSON: repeated LocateAll
+// batches over the default three-beacon scenario on one System (wall
+// time, per-stage latency, the localization-error distribution and
+// MemStats-derived allocation deltas per call), the irls, fleet,
+// durability, router and wire sections, and the process counters,
+// among them the solver's runs, searches and iterations.
 //
-// The error statistics are fully deterministic for a given seed (the
-// simulation and the regression are seeded and allocation-order
-// independent), so regression gates can compare them tightly across
-// machines; wall time and allocation counts are the hardware- and
-// runtime-dependent part.
+// The error statistics and the solver's counters are deterministic for
+// a given seed, so the gate compares them tightly across machines; wall
+// time, throughput and allocations are the hardware-dependent part.
+// Gate reads a fresh report and a committed baseline the same way, as
+// JSON, and checks one table of rows: a JSON path, which way is worse,
+// and a bound.
 package pipebench
 
 import (
@@ -36,8 +38,6 @@ type Config struct {
 	Seed int64
 	// Trials is how many simulate+LocateAll rounds to run.
 	Trials int
-	// PerTrial includes the per-trial breakdown in the report.
-	PerTrial bool
 }
 
 // StageStats summarizes one pipeline stage's latency histogram.
@@ -213,16 +213,14 @@ func Run(cfg Config) (*Report, error) {
 			g := truth[name]
 			errsM = append(errsM, math.Hypot(p.X-g[0], p.Y-g[1]))
 		}
-		if cfg.PerTrial {
-			perTrial = append(perTrial, TrialStats{
-				Trial:       t,
-				Seed:        seed,
-				Located:     len(fixes),
-				WallSeconds: time.Since(opStart).Seconds(),
-				Allocs:      allocs,
-				AllocBytes:  bytes,
-			})
-		}
+		perTrial = append(perTrial, TrialStats{
+			Trial:       t,
+			Seed:        seed,
+			Located:     len(fixes),
+			WallSeconds: time.Since(opStart).Seconds(),
+			Allocs:      allocs,
+			AllocBytes:  bytes,
+		})
 	}
 	wall := time.Since(start)
 	sort.Float64s(errsM)
@@ -355,16 +353,18 @@ func runIRLS(cfg Config, beacons []locble.BeaconSpec, truth map[string][2]float6
 // tightly. The fleet is concurrent (each push spreads its shards over
 // free CPUs), which makes a single wall measurement scheduler-noisy;
 // the whole scenario is repeated and the best rep reported, the same
-// min-of-N convention benchmarks use to estimate the noise floor.
+// min-of-N convention benchmarks use to estimate the noise floor. Rep 0
+// is not reported: it fills process-wide caches (encoding/json's, for
+// the checkpoints), 0.13 allocations per observation no later rep makes.
 func runFleetBench() (*FleetStats, error) {
 	const reps = 3
 	var best *FleetStats
-	for r := 0; r < reps; r++ {
+	for r := 0; r <= reps; r++ {
 		st, err := fleetBenchOnce()
 		if err != nil {
 			return nil, err
 		}
-		if best == nil || st.WallSeconds < best.WallSeconds {
+		if r > 0 && (best == nil || st.WallSeconds < best.WallSeconds) {
 			best = st
 		}
 	}
@@ -584,7 +584,9 @@ func runDurabilityBench() (*DurabilityStats, error) {
 // warmFitAllocs measures heap allocations per warmed robust inner-fit
 // minimization (estimate.Solver.FitProbe under Huber loss) — the
 // pooled-arena contract says exactly 0. Measured with MemStats deltas
-// on a single P to keep concurrent runtime noise out of the count.
+// on a single P, in the quietest of three batches: a GC wakes runtime
+// goroutines that allocate (the unique package's map cleanup), while
+// an allocating fit shows in every batch.
 func warmFitAllocs() float64 {
 	obs := synthIRLSObs()
 	ecfg := estimate.DefaultConfig()
@@ -596,12 +598,16 @@ func warmFitAllocs() float64 {
 	runtime.GC()
 	const rounds = 100
 	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	for i := 0; i < rounds; i++ {
-		s.FitProbe(obs, ecfg, 3, 1)
+	best := math.Inf(1)
+	for b := 0; b < 3; b++ {
+		runtime.ReadMemStats(&ms0)
+		for i := 0; i < rounds; i++ {
+			s.FitProbe(obs, ecfg, 3, 1)
+		}
+		runtime.ReadMemStats(&ms1)
+		best = math.Min(best, float64(ms1.Mallocs-ms0.Mallocs)/rounds)
 	}
-	runtime.ReadMemStats(&ms1)
-	return float64(ms1.Mallocs-ms0.Mallocs) / rounds
+	return best
 }
 
 // synthIRLSObs builds a deterministic L-walk observation set for the
