@@ -54,15 +54,19 @@ test:
 # tests: a subscriber's cursor waits on a channel that each publish
 # closes and replaces, and that handoff is the same kind of code. So do
 # the router's breaker and readmission tests: overlapping PushBatch
-# calls share each node's breaker.
+# calls share each node's breaker. So do netproto's push-exchange
+# tests: concurrent pushes pipeline onto one connection, whose single
+# reader hands each reply frame to its waiting exchange.
 RACE_REPEAT = ^(TestRun|TestLocateAll|TestPushBatch|TestFleetDrain|TestFleetOwnsNoGoroutines|TestFleetConcurrentEquivalence|TestFleetCloseDuringIngest)
 STREAM_REPEAT = ^(TestStream|TestSubscribe|TestServerCloseUnblocksSubscribers|TestServerServesEveryOpAtOnce)
 BREAKER_REPEAT = ^(TestBreaker|TestRouterBreaker|TestRouterReadmits)
+PUSH_REPEAT = ^(TestPipeline|TestFleetClient|TestBinaryPush|TestPushOp)
 
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run='$(RACE_REPEAT)' ./internal/fanout/ ./internal/core/ ./internal/fleet/
 	$(GO) test -race -count=10 -run='$(STREAM_REPEAT)' ./internal/netproto/
+	$(GO) test -race -count=10 -run='$(PUSH_REPEAT)' ./internal/netproto/
 	$(GO) test -race -count=10 -run='$(BREAKER_REPEAT)' ./internal/router/
 
 # Extended chaos soak of the serving path (race-enabled): fault-injected
@@ -131,8 +135,8 @@ BENCH_WALL_TOL ?= 0.10
 #   - >10% allocs; >5% error, frame size or solver work (runs,
 #     searches, iterations); >35% durability throughput or recovery;
 #   - a fixed contract: a fix lost, a degraded routed result, log
-#     damage, allocating warm robust fits, or locb1 losing its floors
-#     over JSON.
+#     damage, allocating warm robust fits, or the binary codec losing
+#     its floors over JSON.
 # Every row is armed at the default. At CI's 0.5 all rows but one stay
 # armed: twice 0.5 lets wire frames/s fall to 0, so wire.speedup_x >= 2
 # is the only wire-throughput check left there. The fresh report goes
@@ -189,7 +193,7 @@ help:
 	@echo "make lint     - go vet + staticcheck (skipped when not installed)"
 	@echo "make vuln     - govulncheck ./... (skipped when not installed)"
 	@echo "make test     - run the test suite (shuffled order)"
-	@echo "make race     - run the test suite under the race detector, then the fan-out/fleet concurrency, netproto stream and router breaker/readmission tests 10x"
+	@echo "make race     - run the test suite under the race detector, then the fan-out/fleet concurrency, netproto stream and push-exchange, and router breaker/readmission tests 10x"
 	@echo "make soak     - $(SOAKTIME) race-enabled chaos soaks of the serving path and the fleet"
 	@echo "make fuzz     - short fuzz pass over all fuzz targets (FUZZTIME=$(FUZZTIME) each)"
 	@echo "make cover    - coverage summary, enforcing the $(COVER_FLOOR)% total floor"

@@ -4,8 +4,9 @@
 // it against a committed baseline report with pipebench.Gate's rows:
 // walls, allocations, throughput, deterministic error and solver work
 // within tolerance of the baseline, and fixed contracts (no fix lost,
-// no log damage, locb1's floors over JSON) on the report alone. It
-// exits nonzero on any violation, so CI (and `make ci`) fail the build.
+// no log damage, the binary codec's floors over JSON) on the report
+// alone. It exits nonzero on any violation, so CI (and `make ci`) fail
+// the build.
 //
 // The tolerances are pipebench.DefaultTolerances; only the wall-clock
 // one can be overridden, for hosts noisier than the baseline's.

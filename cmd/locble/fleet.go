@@ -13,7 +13,7 @@ import (
 
 // runFleet demos the fleet serving stack end to end on loopback: a
 // netproto server with an attached Fleet ingests batched observations
-// for many beacons as locb1 push frames, one beacon walks out
+// for many beacons as locb2 push frames, one beacon walks out
 // of range (idle-evicted to a checkpoint) and back (restored, resuming
 // its session bit-exactly), and the run closes with the fleet's
 // lifecycle metrics.
@@ -74,14 +74,9 @@ func runFleet(beacons int, storeDir string, metricsF, verbose bool) error {
 		gapHi = 320 // long past the 5 s idle horizon
 	)
 	wanderer := "tag-00"
-	streams := make([][]netproto.PushObs, beacons)
+	streams := make([][]fleet.Obs, beacons)
 	for i := range streams {
-		name := fmt.Sprintf("tag-%02d", i)
-		for _, o := range fleet.SynthStream(name, n, 0.5*float64(i)) {
-			streams[i] = append(streams[i], netproto.PushObs{
-				Beacon: o.Beacon, T: o.T, RSS: o.RSS, P: o.P, Q: o.Q,
-			})
-		}
+		streams[i] = fleet.SynthStream(fmt.Sprintf("tag-%02d", i), n, 0.5*float64(i))
 	}
 
 	fmt.Printf("fleet demo: %d beacons, %.0f s of observations, %.0f s batches over loopback push (server %s)\n",
@@ -90,7 +85,7 @@ func runFleet(beacons int, storeDir string, metricsF, verbose bool) error {
 	live := int64(0)
 	fixes := 0
 	for lo := 0; lo < n; lo += slice {
-		var batch []netproto.PushObs
+		var batch []fleet.Obs
 		for i, s := range streams {
 			if i == 0 && lo >= gapLo && lo < gapHi {
 				continue // the wanderer is out of range

@@ -142,12 +142,7 @@ func runRouter(spec string, beacons int, storeDir, drainAddr string, metricsF, v
 	)
 	streams := make([][]locble.FleetObs, beacons)
 	for i := range streams {
-		name := fmt.Sprintf("tag-%02d", i)
-		for _, o := range fleet.SynthStream(name, n, 0.5*float64(i)) {
-			streams[i] = append(streams[i], locble.FleetObs{
-				Beacon: o.Beacon, T: o.T, RSS: o.RSS, P: o.P, Q: o.Q,
-			})
-		}
+		streams[i] = fleet.SynthStream(fmt.Sprintf("tag-%02d", i), n, 0.5*float64(i))
 	}
 	fmt.Printf("%d beacons, %.0f s of observations, %.0f s batches; drain at t=%.0f s\n",
 		beacons, float64(n)/8, float64(slice)/8, float64(drainAt)/8)

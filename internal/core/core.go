@@ -85,9 +85,6 @@ type Config struct {
 	// AKFMaxAlpha overrides the streaming AKF's maximum raw-stream blend
 	// weight (0 keeps the sigproc default; ablation knob).
 	AKFMaxAlpha float64
-	// Ladder tunes the graceful degradation ladder (zero value enables
-	// every rung with the calibrated defaults).
-	Ladder LadderConfig
 }
 
 // DefaultConfig returns the paper's pipeline settings.

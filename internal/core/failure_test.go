@@ -45,25 +45,6 @@ func TestLocateEmptyIMUFallsBackToRSSOnly(t *testing.T) {
 	}
 }
 
-func TestLocateEmptyIMURejectsWhenLadderDisabled(t *testing.T) {
-	// Disabling the RSS-only rung restores the historical contract.
-	cfg := DefaultConfig()
-	cfg.Ladder.DisableRSSOnly = true
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sim.Run(lshapeScenario(6, 3, sim.StaticEnv(rf.LOS), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	broken := *tr
-	broken.IMU = &imu.Trace{}
-	if _, err := eng.Locate(&broken, "target"); err == nil {
-		t.Error("want error for a trace without IMU samples when the ladder is disabled")
-	}
-}
-
 func TestLocateRejectsTooFewObservations(t *testing.T) {
 	eng, err := NewEngine(DefaultConfig())
 	if err != nil {

@@ -54,19 +54,6 @@ const DefaultStaleMaxAge = 10
 // assumes (no geometry to fit one from): the middle of the indoor band.
 const rssOnlyExponent = 2.5
 
-// LadderConfig tunes the degradation ladder. The zero value enables
-// every rung; the Disable switches restore the historical fail-hard
-// contract per rung. A last-known fix is re-emitted for at most
-// DefaultStaleMaxAge seconds after the last real fix.
-type LadderConfig struct {
-	// DisableRSSOnly turns off the RSS-only proximity rung: an IMU
-	// failure rejects the measurement as before.
-	DisableRSSOnly bool
-	// DisableLastKnown turns off last-known-fix re-emission in the
-	// tracking loops.
-	DisableLastKnown bool
-}
-
 // tryRSSOnly is the ladder's second rung: when prepare rejected the
 // trace because the inertial stream was unusable, fall back to a
 // range-only path-loss proximity estimate from the sanitized RSS series
@@ -74,9 +61,6 @@ type LadderConfig struct {
 // both the cause (imu-dropout) and the rung (rss-only-fallback), and an
 // Ambiguous estimate (range is known, bearing is not).
 func (e *Engine) tryRSSOnly(tr *sim.Trace, beaconName string, cause error) (*Measurement, bool) {
-	if e.cfg.Ladder.DisableRSSOnly {
-		return nil, false
-	}
 	var re *RejectedError
 	if !errors.As(cause, &re) || !re.Health.Has(ReasonIMUDropout) {
 		return nil, false

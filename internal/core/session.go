@@ -320,7 +320,7 @@ func (s *TrackSession) fix(tEnd float64) (*TrackPoint, error) {
 // bound. Beyond the bound the tracking state is evicted — an ancient fix
 // must neither be shown nor steer later mirror-ambiguity resolution.
 func (s *TrackSession) staleFix(tEnd float64) *TrackPoint {
-	if s.eng.cfg.Ladder.DisableLastKnown || s.last == nil {
+	if s.last == nil {
 		return nil
 	}
 	if tEnd-s.last.T > DefaultStaleMaxAge {

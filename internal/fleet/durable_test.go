@@ -135,17 +135,19 @@ func TestFleetDurableKillRebuild(t *testing.T) {
 	push(fl1, 0, half)
 
 	liveAtClose := fl1.Sessions()
+	evictedBeforeClose := fl1.Metrics().Counters["fleet.sessions.evicted"]
 	if err := fl1.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	snap := fl1.Metrics()
 	evicted := snap.Counters["fleet.sessions.evicted"]
 	written := snap.Counters["fleet.checkpoints.written"]
-	// Accounting invariant: every checkpoint written is an eviction or
-	// a close-drain of a then-live session — nothing double-counted,
+	// Accounting invariant: Close evicts every then-live session, and
+	// every checkpoint written is one eviction — nothing double-counted,
 	// nothing lost.
-	if written != evicted+liveAtClose {
-		t.Errorf("checkpoints.written=%d, want evicted(%d)+drained(%d)", written, evicted, liveAtClose)
+	if evicted != evictedBeforeClose+liveAtClose || written != evicted {
+		t.Errorf("checkpoints.written=%d evicted=%d, want both idle-evicted(%d)+closed(%d)",
+			written, evicted, evictedBeforeClose, liveAtClose)
 	}
 	// The store runs durable: every write was acknowledged fsynced.
 	if acked := snap.Counters["fleet.checkpoints.acked"]; acked != written {

@@ -44,14 +44,15 @@ var (
 )
 
 // Obs is one fused observation tagged with the beacon it belongs to —
-// the unit of fleet ingest. T/RSS/P/Q mirror estimate.Obs: timestamp,
-// raw RSS, and the observer's relative displacement.
+// the unit of fleet ingest, locally and on the wire. T/RSS/P/Q mirror
+// estimate.Obs: timestamp, raw RSS, and the observer's relative
+// displacement.
 type Obs struct {
-	Beacon string
-	T      float64
-	RSS    float64
-	P      float64
-	Q      float64
+	Beacon string  `json:"beacon"`
+	T      float64 `json:"t"`
+	RSS    float64 `json:"rss"`
+	P      float64 `json:"p"`
+	Q      float64 `json:"q"`
 }
 
 // Result is one beacon's outcome of a PushBatch call.
@@ -338,9 +339,12 @@ func (f *Fleet) Sessions() int64 { return f.met.live.Value() }
 // Store returns the fleet's checkpoint store.
 func (f *Fleet) Store() CheckpointStore { return f.store }
 
-// Close waits for in-flight pushes and drains, then checkpoints every
-// resident session to the store (a clean shutdown loses no tracking
-// state). Idempotent; PushBatch returns ErrClosed afterwards.
+// Close waits for in-flight pushes and drains, then checkpoints and
+// evicts every resident session through the same path as Drain (a clean
+// shutdown loses no tracking state, and the lifecycle counters balance
+// afterwards). A session whose save fails is dropped all the same and
+// its error returned. Idempotent; PushBatch returns ErrClosed
+// afterwards.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -357,15 +361,10 @@ func (f *Fleet) Close() error {
 	errs := make([]error, len(f.shards))
 	fanout.Run(&f.lanes, len(f.shards), func(si int) {
 		sh := f.shards[si]
-		var shErrs []error
-		for name, se := range sh.sessions {
-			if err := f.saveCheckpoint(name, se.ts); err != nil {
-				shErrs = append(shErrs, fmt.Errorf("fleet: close checkpoint %s: %w", name, err))
-			}
-		}
+		_, errs[si] = sh.drainAll()
+		// What is left failed its save; the fleet is closing, so it goes.
 		f.met.live.Add(-int64(len(sh.sessions)))
 		sh.sessions = nil
-		errs[si] = errors.Join(shErrs...)
 	})
 	return errors.Join(errs...)
 }
@@ -467,48 +466,52 @@ func (sh *shard) process(g *groupWork) {
 	}
 }
 
-// drainAll checkpoints and evicts every session resident on this shard
-// (the Drain handoff) and reports how many it drained. A session whose
-// save fails stays resident so no state is lost — it is reported in the
-// error and retried by a later Drain, sweep, or Close.
+// evict checkpoints one session to the store and removes it from the
+// shard — the one eviction path of sweep, Drain and Close. A session
+// whose save fails stays resident so no state is lost, and the error is
+// returned.
+func (sh *shard) evict(name string, se *session) error {
+	if err := sh.f.saveCheckpoint(name, se.ts); err != nil {
+		return fmt.Errorf("fleet: checkpoint %s: %w", name, err)
+	}
+	delete(sh.sessions, name)
+	sh.f.met.evicted.Inc()
+	sh.f.met.live.Add(-1)
+	return nil
+}
+
+// drainAll evicts every session resident on this shard (the Drain
+// handoff) and reports how many it evicted. A session whose save fails
+// is reported in the error and retried by a later Drain, sweep, or
+// Close.
 func (sh *shard) drainAll() (int, error) {
 	drained := 0
 	var errs []error
 	for name, se := range sh.sessions {
-		if err := sh.f.saveCheckpoint(name, se.ts); err != nil {
-			errs = append(errs, fmt.Errorf("fleet: drain checkpoint %s: %w", name, err))
+		if err := sh.evict(name, se); err != nil {
+			errs = append(errs, err)
 			continue
 		}
-		delete(sh.sessions, name)
-		sh.f.met.evicted.Inc()
-		sh.f.met.live.Add(-1)
 		drained++
 	}
 	return drained, errors.Join(errs...)
 }
 
-// sweep evicts sessions idle past the fleet's horizon, checkpointing
-// each to the store first so a reappearing beacon resumes instead of
-// restarting. The sweep is amortized: it reruns only after observation
-// time advances a quarter horizon, so steady traffic pays O(sessions)
-// once per interval, not per batch.
+// sweep evicts sessions idle past the fleet's horizon, so a reappearing
+// beacon resumes from its checkpoint instead of restarting. The sweep
+// is amortized: it reruns only after observation time advances a
+// quarter horizon, so steady traffic pays O(sessions) once per
+// interval, not per batch. A session whose save fails stays resident
+// and the next sweep retries.
 func (sh *shard) sweep() {
 	if sh.maxT < sh.nextSweep {
 		return
 	}
 	sh.nextSweep = sh.maxT + sh.f.idle/4
 	for name, se := range sh.sessions {
-		if sh.maxT-se.lastT <= sh.f.idle {
-			continue
+		if sh.maxT-se.lastT > sh.f.idle {
+			_ = sh.evict(name, se)
 		}
-		if err := sh.f.saveCheckpoint(name, se.ts); err != nil {
-			// Keep the session resident rather than losing its state;
-			// the next sweep retries.
-			continue
-		}
-		delete(sh.sessions, name)
-		sh.f.met.evicted.Inc()
-		sh.f.met.live.Add(-1)
 	}
 }
 

@@ -429,8 +429,10 @@ func TestShardSessionCap(t *testing.T) {
 }
 
 // TestCloseCheckpointsResidents: Close drains every resident session
-// into the store, rejects further ingest, and a successor fleet sharing
-// the store resumes every beacon from its checkpoint.
+// into the store, the lifecycle counters balance afterwards
+// (checkpoints == evicted, live == created + restored − evicted), it
+// rejects further ingest, and a successor fleet sharing the store
+// resumes every beacon from its checkpoint.
 func TestCloseCheckpointsResidents(t *testing.T) {
 	eng := newTestEngine(t)
 	store := NewMemStore()
@@ -452,6 +454,13 @@ func TestCloseCheckpointsResidents(t *testing.T) {
 	}
 	if store.Len() != nb {
 		t.Fatalf("store holds %d checkpoints after Close, want %d", store.Len(), nb)
+	}
+	snap := fl.Metrics()
+	created, restored := snap.Counters["fleet.sessions.created"], snap.Counters["fleet.sessions.restored"]
+	evicted, cps := snap.Counters["fleet.sessions.evicted"], snap.Counters["fleet.checkpoints.written"]
+	if cps != evicted || fl.Sessions() != created+restored-evicted {
+		t.Fatalf("after Close: created=%d restored=%d evicted=%d checkpoints=%d live=%d; want checkpoints == evicted and live == created+restored-evicted",
+			created, restored, evicted, cps, fl.Sessions())
 	}
 	if _, err := fl.PushBatch(batch); !errors.Is(err, ErrClosed) {
 		t.Fatalf("PushBatch after Close = %v, want ErrClosed", err)

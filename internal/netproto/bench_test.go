@@ -4,18 +4,20 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"locble/internal/fleet"
 )
 
 // benchObs is the microbenchmark workload: 24 beacons interleaved at 16
 // observations each — the shape a router sub-batch has on the wire, and
 // the unfavorable order for the binary encoder's intern scan (every
 // entry switches beacons).
-func benchObs() []PushObs {
+func benchObs() []fleet.Obs {
 	const beacons, per = 24, 16
-	obs := make([]PushObs, 0, beacons*per)
+	obs := make([]fleet.Obs, 0, beacons*per)
 	for i := 0; i < per; i++ {
 		for b := 0; b < beacons; b++ {
-			obs = append(obs, PushObs{
+			obs = append(obs, fleet.Obs{
 				Beacon: fmt.Sprintf("bench-%02d", b),
 				T:      float64(i) * 0.125,
 				RSS:    -58.5 - 0.75*float64((b+i)%13),
@@ -28,10 +30,10 @@ func benchObs() []PushObs {
 }
 
 // jsonPushReq is a push request as a JSON document — the encoding the
-// JSON benchmarks price against locb1.
+// JSON benchmarks price against locb2.
 type jsonPushReq struct {
-	Op  string    `json:"op"`
-	Obs []PushObs `json:"obs"`
+	Op  string      `json:"op"`
+	Obs []fleet.Obs `json:"obs"`
 }
 
 func BenchmarkWireEncodeJSON(b *testing.B) {

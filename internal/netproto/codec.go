@@ -4,14 +4,16 @@
 //   - Until a hello, the body is one JSON document. The cold ops —
 //     fetch (the paper's trace exchange), metrics and drain — work on
 //     such a connection.
-//   - After a first-frame {"op":"hello","codec":"locb1"} (itself JSON)
+//   - After a first-frame {"op":"hello","codec":"locb2"} (itself JSON)
 //     and the server's JSON ack, the connection speaks CodecBinary
-//     ("locb1"): the body is one tag byte followed by a fixed
+//     ("locb2"): the body is one tag byte followed by a fixed
 //     little-endian payload — raw float64 bits, uvarint lengths, and
 //     per-frame interning of repeated beacon IDs. The hot frames (push
-//     requests and results, stream batches) exist only in this form;
+//     requests and replies, stream batches) exist only in this form;
 //     push and subscribe on a connection that never said hello are
-//     refused with an error frame naming locb1.
+//     refused with an error frame naming locb2. A push is one request
+//     frame of fleet.Obs and one reply frame carrying every beacon's
+//     result; a reply, like every frame, is bounded by MaxFrameSize.
 //
 // Both forms share the pooled frame buffers below: a frame is built (or
 // read) into a reusable buffer with the length header prepended, so the
@@ -30,13 +32,15 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"locble/internal/fleet"
 )
 
-// CodecBinary names the binary codec in hello frames. The "1" is the
-// wire version: an incompatible layout change ships as locb2, and a
-// server that only knows locb1 refuses its hello instead of misparsing
+// CodecBinary names the binary codec in hello frames. The "2" is the
+// wire version: a layout change ships as a new version, and a server
+// refuses a hello naming any other version instead of misparsing its
 // frames.
-const CodecBinary = "locb1"
+const CodecBinary = "locb2"
 
 // errBinMalformed reports a binary frame whose payload does not decode:
 // truncated, over-long, an out-of-range intern reference, or trailing
@@ -47,23 +51,22 @@ var errBinMalformed = errors.New("netproto: malformed binary frame")
 // Binary frame tags (the first body byte of a CodecBinary frame).
 const (
 	// bfJSON wraps an arbitrary JSON document — the escape hatch that
-	// lets cold ops (drain, subscribe, metrics, fetch) ride a locb1
+	// lets cold ops (drain, subscribe, metrics, fetch) ride a locb2
 	// connection without a bespoke encoding.
 	bfJSON = 0x00
 	// bfPushReq is a push request: an observation batch with interned
 	// beacon IDs.
 	bfPushReq = 0x01
-	// bfPushResult is one beacon's streamed result frame.
-	bfPushResult = 0x02
-	// bfPushDone terminates a push exchange (carries the result count).
-	bfPushDone = 0x03
+	// bfPushReply answers a push request: the result count, then every
+	// beacon's result. Tag 0x03 (locb1's push trailer) is retired.
+	bfPushReply = 0x02
 	// bfError is a typed exchange-level error frame.
 	bfError = 0x04
 	// bfStreamBatch is one live (RSS, motion) stream batch.
 	bfStreamBatch = 0x05
 )
 
-// PushResult lifecycle flag bits in a bfPushResult frame.
+// PushResult lifecycle flag bits in a bfPushReply result.
 const (
 	bfFlagCreated     = 1 << 0
 	bfFlagRestored    = 1 << 1
@@ -194,7 +197,7 @@ func appendStr(b []byte, s string) []byte {
 // followed by the name, later occurrences write just the id. *names is
 // the caller's reusable intern table (reset here); a linear scan is
 // exact and allocation-free at realistic per-batch cardinalities.
-func appendPushReq(dst []byte, obs []PushObs, names *[]string) []byte {
+func appendPushReq(dst []byte, obs []fleet.Obs, names *[]string) []byte {
 	dst = append(dst, bfPushReq)
 	dst = binary.AppendUvarint(dst, uint64(len(obs)))
 	table := (*names)[:0]
@@ -223,41 +226,40 @@ func appendPushReq(dst []byte, obs []PushObs, names *[]string) []byte {
 	return dst
 }
 
-// appendPushResult encodes a bfPushResult body.
-func appendPushResult(dst []byte, r *PushResult) []byte {
-	dst = append(dst, bfPushResult)
-	dst = appendStr(dst, r.Beacon)
-	var flags byte
-	if r.Created {
-		flags |= bfFlagCreated
-	}
-	if r.Restored {
-		flags |= bfFlagRestored
-	}
-	if r.Quarantined {
-		flags |= bfFlagQuarantined
-	}
-	dst = append(dst, flags)
-	dst = appendStr(dst, r.Err)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Fixes)))
-	for i := range r.Fixes {
-		f := &r.Fixes[i]
-		dst = appendF64(dst, f.T)
-		dst = appendF64(dst, f.X)
-		dst = appendF64(dst, f.Y)
-		dst = appendF64(dst, f.N)
-		dst = appendF64(dst, f.Gamma)
-		dst = appendF64(dst, f.Confidence)
-		dst = appendStr(dst, f.Mode)
-		dst = binary.AppendUvarint(dst, uint64(f.Samples))
+// appendPushReply encodes a bfPushReply body: the result count, then
+// per result its beacon, lifecycle flags, error text and fixes.
+func appendPushReply(dst []byte, res []PushResult) []byte {
+	dst = append(dst, bfPushReply)
+	dst = binary.AppendUvarint(dst, uint64(len(res)))
+	for i := range res {
+		r := &res[i]
+		dst = appendStr(dst, r.Beacon)
+		var flags byte
+		if r.Created {
+			flags |= bfFlagCreated
+		}
+		if r.Restored {
+			flags |= bfFlagRestored
+		}
+		if r.Quarantined {
+			flags |= bfFlagQuarantined
+		}
+		dst = append(dst, flags)
+		dst = appendStr(dst, r.Err)
+		dst = binary.AppendUvarint(dst, uint64(len(r.Fixes)))
+		for j := range r.Fixes {
+			f := &r.Fixes[j]
+			dst = appendF64(dst, f.T)
+			dst = appendF64(dst, f.X)
+			dst = appendF64(dst, f.Y)
+			dst = appendF64(dst, f.N)
+			dst = appendF64(dst, f.Gamma)
+			dst = appendF64(dst, f.Confidence)
+			dst = appendStr(dst, f.Mode)
+			dst = binary.AppendUvarint(dst, uint64(f.Samples))
+		}
 	}
 	return dst
-}
-
-// appendPushDone encodes a bfPushDone body.
-func appendPushDone(dst []byte, beacons int) []byte {
-	dst = append(dst, bfPushDone)
-	return binary.AppendUvarint(dst, uint64(beacons))
 }
 
 // appendError encodes a bfError body.
@@ -421,7 +423,7 @@ func (r *binReader) done() error {
 // reusable dst/names scratch. Returned observations own their strings
 // (one allocation per distinct beacon per frame); dst and names grow
 // once and are reused across frames.
-func decodePushReq(body []byte, dst []PushObs, names []string) ([]PushObs, []string, error) {
+func decodePushReq(body []byte, dst []fleet.Obs, names []string) ([]fleet.Obs, []string, error) {
 	r := binReader{b: body}
 	// An interned-reference observation is at least 1 (id) + 32 (floats)
 	// bytes, so the count can never exceed remaining/33.
@@ -439,7 +441,7 @@ func decodePushReq(body []byte, dst []PushObs, names []string) ([]PushObs, []str
 		default:
 			r.fail()
 		}
-		o := PushObs{Beacon: name}
+		o := fleet.Obs{Beacon: name}
 		o.T = r.f64()
 		o.RSS = r.f64()
 		o.P = r.f64()
@@ -451,36 +453,51 @@ func decodePushReq(body []byte, dst []PushObs, names []string) ([]PushObs, []str
 	return dst, names, r.done()
 }
 
-// decodePushResult decodes a bfPushResult body (after the tag byte).
-func decodePushResult(body []byte, out *PushResult) error {
+// decodePushReply decodes a bfPushReply body (after the tag byte).
+func decodePushReply(body []byte) ([]PushResult, error) {
 	r := binReader{b: body}
-	out.Beacon = r.str()
-	flags := r.flags()
-	out.Created = flags&bfFlagCreated != 0
-	out.Restored = flags&bfFlagRestored != 0
-	out.Quarantined = flags&bfFlagQuarantined != 0
-	out.Err = r.str()
-	// A fix is at least 48 (floats) + 1 (mode len) + 1 (samples) bytes.
-	n := r.count(50)
-	out.Fixes = nil
+	// A result is at least 1 (beacon len) + 1 (flags) + 1 (error len) +
+	// 1 (fix count) bytes.
+	n := r.count(4)
+	var out []PushResult
 	if n > 0 && r.err == nil {
-		out.Fixes = make([]PushFix, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			var f PushFix
-			f.T = r.f64()
-			f.X = r.f64()
-			f.Y = r.f64()
-			f.N = r.f64()
-			f.Gamma = r.f64()
-			f.Confidence = r.f64()
-			f.Mode = r.str()
-			f.Samples = r.intu()
-			if r.err == nil {
-				out.Fixes = append(out.Fixes, f)
+		out = make([]PushResult, 0, n)
+	}
+	for i := 0; i < n && r.err == nil; i++ {
+		var res PushResult
+		res.Beacon = r.str()
+		flags := r.flags()
+		res.Created = flags&bfFlagCreated != 0
+		res.Restored = flags&bfFlagRestored != 0
+		res.Quarantined = flags&bfFlagQuarantined != 0
+		res.Err = r.str()
+		// A fix is at least 48 (floats) + 1 (mode len) + 1 (samples) bytes.
+		nf := r.count(50)
+		if nf > 0 && r.err == nil {
+			res.Fixes = make([]PushFix, 0, nf)
+			for j := 0; j < nf && r.err == nil; j++ {
+				var f PushFix
+				f.T = r.f64()
+				f.X = r.f64()
+				f.Y = r.f64()
+				f.N = r.f64()
+				f.Gamma = r.f64()
+				f.Confidence = r.f64()
+				f.Mode = r.str()
+				f.Samples = r.intu()
+				if r.err == nil {
+					res.Fixes = append(res.Fixes, f)
+				}
 			}
 		}
+		if r.err == nil {
+			out = append(out, res)
+		}
 	}
-	return r.done()
+	if err := r.done(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // decodeStreamBatch decodes a bfStreamBatch body (after the tag byte).
@@ -525,12 +542,12 @@ func decodeStreamBatch(body []byte, out *StreamBatch) error {
 // --- per-connection I/O ---
 
 // helloAck is the server's answer to an accepted hello frame (JSON —
-// the connection switches to locb1 after the ack).
+// the connection switches to locb2 after the ack).
 type helloAck struct {
 	Codec string `json:"codec"`
 }
 
-// hello opens locb1 on a fresh client connection: it sends the JSON
+// hello opens locb2 on a fresh client connection: it sends the JSON
 // hello frame and reads the server's JSON ack. A shed connection
 // reports ErrOverloaded; any other answer is a refusal.
 // Deadlines are left set; the caller owns the connection afterwards.
@@ -570,10 +587,10 @@ func hello(ctx context.Context, conn net.Conn, br *bufio.Reader) error {
 // (hello, fetch, drain, metrics, subscribe) arrives as JSON — plain or
 // bfJSON-wrapped — and never carries observations.
 type wireReq struct {
-	Op    string    `json:"op"`
-	Codec string    `json:"codec"`
-	From  int       `json:"from"`
-	Obs   []PushObs `json:"-"`
+	Op    string      `json:"op"`
+	Codec string      `json:"codec"`
+	From  int         `json:"from"`
+	Obs   []fleet.Obs `json:"-"`
 }
 
 // connReader reads request frames for one server connection, holding
@@ -581,7 +598,7 @@ type wireReq struct {
 type connReader struct {
 	br    *bufio.Reader
 	fb    *frameBuf
-	obs   []PushObs
+	obs   []fleet.Obs
 	names []string
 }
 
@@ -619,14 +636,14 @@ func (r *connReader) read(binary bool, req *wireReq) error {
 }
 
 // negotiateHello answers one server-side hello frame and, when it offers
-// locb1, flips the writer for all subsequent frames. The ack itself is
+// locb2, flips the writer for all subsequent frames. The ack itself is
 // JSON — the requesting side is still reading JSON until it sees the
 // answer. Returns false when the connection should close. Callers have
 // already set the write deadline.
 func negotiateHello(w *wireWriter, codec string) bool {
 	if codec != CodecBinary {
 		metCodecRejected.Inc()
-		WriteFrame(w.w, map[string]string{"error": "unsupported codec " + codec})
+		WriteFrame(w.w, map[string]string{"error": "unsupported codec " + codec + ": this server speaks " + CodecBinary})
 		return false
 	}
 	if err := WriteFrame(w.w, helloAck{Codec: CodecBinary}); err != nil {
@@ -637,7 +654,7 @@ func negotiateHello(w *wireWriter, codec string) bool {
 	return true
 }
 
-// writeBinJSON writes v as one bfJSON-wrapped locb1 frame built in fb.
+// writeBinJSON writes v as one bfJSON-wrapped locb2 frame built in fb.
 func writeBinJSON(w io.Writer, fb *frameBuf, v any) error {
 	fb.beginFrame()
 	fb.b = append(fb.b, bfJSON)
@@ -660,9 +677,9 @@ func decodeError(op string, body []byte) error {
 }
 
 // wireWriter writes response frames for one server connection: JSON
-// until a hello switches it to locb1, where the hot frame types use
+// until a hello switches it to locb2, where the hot frame types use
 // their bespoke encodings and everything else rides a bfJSON wrapper.
-// The hot writers are only reached on a locb1 connection.
+// The hot writers are only reached on a locb2 connection.
 type wireWriter struct {
 	w      io.Writer
 	binary bool
@@ -687,15 +704,9 @@ func (w *wireWriter) writeError(msg string) error {
 	return flushFrame(w.w, w.fb.b)
 }
 
-func (w *wireWriter) writePushResult(r *PushResult) error {
+func (w *wireWriter) writePushReply(res []PushResult) error {
 	w.fb.beginFrame()
-	w.fb.b = appendPushResult(w.fb.b, r)
-	return flushFrame(w.w, w.fb.b)
-}
-
-func (w *wireWriter) writePushDone(beacons int) error {
-	w.fb.beginFrame()
-	w.fb.b = appendPushDone(w.fb.b, beacons)
+	w.fb.b = appendPushReply(w.fb.b, res)
 	return flushFrame(w.w, w.fb.b)
 }
 
@@ -707,7 +718,7 @@ func (w *wireWriter) writeStreamBatch(b *StreamBatch) error {
 
 // --- reusable whole-frame encoder/decoder (benchmarks, fuzzing) ---
 
-// BinaryPushEncoder encodes complete locb1 push-request frames (length
+// BinaryPushEncoder encodes complete locb2 push-request frames (length
 // header included) into a reusable buffer. It is what the pipeline
 // benchmark measures; the wire path uses the same appendPushReq core.
 // Not safe for concurrent use.
@@ -718,23 +729,23 @@ type BinaryPushEncoder struct {
 
 // Encode returns the encoded frame for obs. The slice is valid until
 // the next Encode call.
-func (e *BinaryPushEncoder) Encode(obs []PushObs) []byte {
+func (e *BinaryPushEncoder) Encode(obs []fleet.Obs) []byte {
 	e.buf = append(e.buf[:0], 0, 0, 0, 0)
 	e.buf = appendPushReq(e.buf, obs, &e.names)
 	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
 	return e.buf
 }
 
-// BinaryPushDecoder decodes complete locb1 push-request frames into
+// BinaryPushDecoder decodes complete locb2 push-request frames into
 // reusable scratch. Not safe for concurrent use.
 type BinaryPushDecoder struct {
-	obs   []PushObs
+	obs   []fleet.Obs
 	names []string
 }
 
 // Decode parses one frame as produced by BinaryPushEncoder.Encode. The
 // returned observations are valid until the next Decode call.
-func (d *BinaryPushDecoder) Decode(frame []byte) ([]PushObs, error) {
+func (d *BinaryPushDecoder) Decode(frame []byte) ([]fleet.Obs, error) {
 	if len(frame) < 5 {
 		return nil, errBinMalformed
 	}

@@ -82,7 +82,7 @@ func pushStream(t *testing.T, ctx context.Context, cl *FleetClient, stream []fle
 	t.Helper()
 	var fixes []PushFix
 	for lo := 0; lo < len(stream); lo += slice {
-		res, err := cl.Push(ctx, toWire(stream[lo:lo+slice]))
+		res, err := cl.Push(ctx, stream[lo:lo+slice])
 		if err != nil {
 			t.Fatalf("Push @%d: %v", lo, err)
 		}
@@ -112,7 +112,7 @@ func TestCodecNegotiationMatrix(t *testing.T) {
 			t.Fatalf("DialFleet: %v", err)
 		}
 		defer cl.Close()
-		if _, err := cl.Push(ctx, toWire(fleet.SynthStream("m-bin", 8, 0))); err != nil {
+		if _, err := cl.Push(ctx, fleet.SynthStream("m-bin", 8, 0)); err != nil {
 			t.Fatalf("binary Push: %v", err)
 		}
 		if got := metCodecBinary.Value() - before; got != 1 {
@@ -121,7 +121,7 @@ func TestCodecNegotiationMatrix(t *testing.T) {
 	})
 
 	for op, req := range map[string]any{
-		"push":      map[string]any{"op": "push", "obs": toWire(fleet.SynthStream("m-json", 8, 0))},
+		"push":      map[string]any{"op": "push", "obs": fleet.SynthStream("m-json", 8, 0)},
 		"subscribe": subscribeReq{Op: "subscribe"},
 	} {
 		t.Run("json-"+op+"-refused", func(t *testing.T) {
@@ -154,32 +154,42 @@ func TestCodecNegotiationMatrix(t *testing.T) {
 }
 
 // TestHelloUnknownCodecRejected: a hello offering a codec the server
-// doesn't know is refused with a typed error frame and the connection
-// closed — never silently misparsed.
+// doesn't know — locb1, the push layout before the one-frame reply, or
+// one that never existed — is refused with a typed error frame naming
+// the codec the server speaks, counted as a rejection, and the
+// connection closed: never silently misparsed.
 func TestHelloUnknownCodecRejected(t *testing.T) {
-	srv, _ := newPushServer(t, ServerConfig{})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := WriteFrame(conn, map[string]string{"op": "hello", "codec": "locb99"}); err != nil {
-		t.Fatalf("write hello: %v", err)
-	}
-	var resp struct {
-		Err string `json:"error"`
-	}
-	br := newReader(conn)
-	if err := ReadFrame(br, &resp); err != nil {
-		t.Fatalf("read answer: %v", err)
-	}
-	if !strings.Contains(resp.Err, "unsupported codec") {
-		t.Fatalf("answer %+v, want an unsupported-codec error", resp)
-	}
-	var after json.RawMessage
-	if err := ReadFrame(br, &after); err == nil {
-		t.Fatalf("connection still open after rejected hello: read %s", after)
+	for _, codec := range []string{"locb1", "locb99"} {
+		t.Run(codec, func(t *testing.T) {
+			srv, _ := newPushServer(t, ServerConfig{})
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			before := metCodecRejected.Value()
+			if err := WriteFrame(conn, map[string]string{"op": "hello", "codec": codec}); err != nil {
+				t.Fatalf("write hello: %v", err)
+			}
+			var resp struct {
+				Err string `json:"error"`
+			}
+			br := newReader(conn)
+			if err := ReadFrame(br, &resp); err != nil {
+				t.Fatalf("read answer: %v", err)
+			}
+			if !strings.Contains(resp.Err, "unsupported codec "+codec) || !strings.Contains(resp.Err, CodecBinary) {
+				t.Fatalf("answer %+v, want an unsupported-codec error naming %s", resp, CodecBinary)
+			}
+			if got := metCodecRejected.Value() - before; got != 1 {
+				t.Errorf("codec.rejected delta = %d, want 1", got)
+			}
+			var after json.RawMessage
+			if err := ReadFrame(br, &after); err == nil {
+				t.Fatalf("connection still open after rejected hello: read %s", after)
+			}
+		})
 	}
 }
 
@@ -251,7 +261,7 @@ func TestFramesAreSingleWrite(t *testing.T) {
 	fb := getFrameBuf()
 	defer putFrameBuf(fb)
 	fb.beginFrame()
-	fb.b = appendPushReq(fb.b, []PushObs{{Beacon: "b", T: 1, RSS: -60}}, &[]string{})
+	fb.b = appendPushReq(fb.b, []fleet.Obs{{Beacon: "b", T: 1, RSS: -60}}, &[]string{})
 	if err := flushFrame(&w, fb.b); err != nil {
 		t.Fatalf("flushFrame: %v", err)
 	}
@@ -334,7 +344,7 @@ func TestBinaryPushConcurrentBitIdentical(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for lo := 0; lo < n; lo += slice {
-				res, err := cl.Push(ctx, toWire(streams[i][lo:lo+slice]))
+				res, err := cl.Push(ctx, streams[i][lo:lo+slice])
 				if err != nil {
 					errs <- fmt.Errorf("pusher %d @%d: %w", i, lo, err)
 					return
@@ -449,7 +459,7 @@ func TestPipelineWindowBounds(t *testing.T) {
 	}
 	defer cl.Close()
 
-	batch := toWire(fleet.SynthStream("win", 4, 0))
+	batch := fleet.SynthStream("win", 4, 0)
 	for i := 0; i < DefaultPushWindow; i++ {
 		if _, err := cl.PushAsync(ctx, batch); err != nil {
 			t.Fatalf("PushAsync %d: %v", i, err)
@@ -484,7 +494,7 @@ func TestPipelinePoisonFailsAllPending(t *testing.T) {
 	}
 	defer cl.Close()
 
-	batch := toWire(fleet.SynthStream("poison", 4, 0))
+	batch := fleet.SynthStream("poison", 4, 0)
 	var pendings []*PushPending
 	for i := 0; i < 3; i++ {
 		p, err := cl.PushAsync(ctx, batch)
@@ -522,7 +532,7 @@ func TestPipelineFIFOOrdering(t *testing.T) {
 	const k = 2 * DefaultPushWindow
 	var pendings []*PushPending
 	for i := 0; i < k; i++ {
-		p, err := cl.PushAsync(ctx, toWire(fleet.SynthStream(fmt.Sprintf("fifo-%d", i), 8, 0)))
+		p, err := cl.PushAsync(ctx, fleet.SynthStream(fmt.Sprintf("fifo-%d", i), 8, 0))
 		if err != nil {
 			t.Fatalf("PushAsync %d: %v", i, err)
 		}
@@ -553,7 +563,7 @@ func TestPipelineDrainOrdering(t *testing.T) {
 	defer cl.Close()
 
 	for i := 0; i < 3; i++ {
-		if _, err := cl.PushAsync(ctx, toWire(fleet.SynthStream(fmt.Sprintf("dr-%d", i), 8, 0))); err != nil {
+		if _, err := cl.PushAsync(ctx, fleet.SynthStream(fmt.Sprintf("dr-%d", i), 8, 0)); err != nil {
 			t.Fatalf("PushAsync %d: %v", i, err)
 		}
 	}
@@ -577,7 +587,7 @@ func TestFleetClientCloseWithInflight(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	p, err := cl.PushAsync(ctx, toWire(fleet.SynthStream("close", 4, 0)))
+	p, err := cl.PushAsync(ctx, fleet.SynthStream("close", 4, 0))
 	if err != nil {
 		t.Fatalf("PushAsync: %v", err)
 	}
@@ -644,7 +654,7 @@ func TestStreamCodecNegotiation(t *testing.T) {
 // batches, flag combinations).
 func TestBinaryRoundTripUnits(t *testing.T) {
 	t.Run("push-req", func(t *testing.T) {
-		obs := []PushObs{
+		obs := []fleet.Obs{
 			{Beacon: "a", T: 1.5, RSS: -61.25, P: 0.1, Q: -0.2},
 			{Beacon: "b", T: 2.5, RSS: -62.5, P: 0.3, Q: 0.4},
 			{Beacon: "a", T: 3.5, RSS: math.Copysign(0, -1), P: 0, Q: 0},
@@ -673,26 +683,36 @@ func TestBinaryRoundTripUnits(t *testing.T) {
 		}
 	})
 
-	t.Run("push-result", func(t *testing.T) {
-		in := PushResult{
-			Beacon: "r", Created: true, Quarantined: true, Err: "partial",
-			Fixes: []PushFix{
-				{T: 1, X: 2.25, Y: -3.5, N: 2.1, Gamma: 0.9, Confidence: 0.75, Mode: "near", Samples: 17},
-				{T: 2, X: math.MaxFloat64, Y: -math.MaxFloat64, Mode: "", Samples: 0},
+	t.Run("push-reply", func(t *testing.T) {
+		for name, in := range map[string][]PushResult{
+			"empty": nil,
+			"multi": {
+				{
+					Beacon: "r", Created: true, Quarantined: true,
+					Fixes: []PushFix{
+						{T: 1, X: 2.25, Y: -3.5, N: 2.1, Gamma: 0.9, Confidence: 0.75, Mode: "near", Samples: 17},
+						{T: 2, X: math.MaxFloat64, Y: -math.MaxFloat64, N: math.Copysign(0, -1), Mode: "", Samples: 0},
+					},
+				},
+				{Beacon: "s", Restored: true, Err: "fleet: shard session cap reached"},
+				{Beacon: "", Fixes: []PushFix{{T: 3, Mode: "last-known", Samples: 1 << 20}}},
 			},
-		}
-		body := appendPushResult(nil, &in)
-		var out PushResult
-		if err := decodePushResult(body[1:], &out); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if out.Beacon != in.Beacon || out.Created != in.Created || out.Restored != in.Restored ||
-			out.Quarantined != in.Quarantined || out.Err != in.Err || len(out.Fixes) != len(in.Fixes) {
-			t.Fatalf("header mismatch: got %+v want %+v", out, in)
-		}
-		for i := range in.Fixes {
-			if out.Fixes[i] != in.Fixes[i] {
-				t.Fatalf("fix %d: got %+v want %+v", i, out.Fixes[i], in.Fixes[i])
+		} {
+			body := appendPushReply(nil, in)
+			out, err := decodePushReply(body[1:])
+			if err != nil {
+				t.Fatalf("%s: decode: %v", name, err)
+			}
+			if len(out) != len(in) {
+				t.Fatalf("%s: %d results, want %d", name, len(out), len(in))
+			}
+			for i := range in {
+				g, w := out[i], in[i]
+				if g.Beacon != w.Beacon || g.Created != w.Created || g.Restored != w.Restored ||
+					g.Quarantined != w.Quarantined || g.Err != w.Err || len(g.Fixes) != len(w.Fixes) {
+					t.Fatalf("%s: result %d header: got %+v want %+v", name, i, g, w)
+				}
+				requireBitIdentical(t, name, g.Fixes, w.Fixes)
 			}
 		}
 	})
@@ -722,9 +742,12 @@ func TestBinaryRoundTripUnits(t *testing.T) {
 		if _, _, err := decodePushReq(huge, nil, nil); err == nil {
 			t.Fatal("forged obs count accepted")
 		}
-		var pr PushResult
-		// Body: beacon len 0, flags 0, err len 0, then the forged count.
-		if err := decodePushResult(append([]byte{0, 0, 0}, huge...), &pr); err == nil {
+		if _, err := decodePushReply(huge); err == nil {
+			t.Fatal("forged result count accepted")
+		}
+		// Body: result count 1, beacon len 0, flags 0, err len 0, then
+		// the forged fix count.
+		if _, err := decodePushReply(append([]byte{1, 0, 0, 0}, huge...)); err == nil {
 			t.Fatal("forged fix count accepted")
 		}
 		var sb StreamBatch

@@ -24,9 +24,9 @@ func TestDrainOp(t *testing.T) {
 	}
 	defer cl.Close()
 
-	var batch []PushObs
-	batch = append(batch, toWire(fleet.SynthStream("dn-1", 24, 0.2))...)
-	batch = append(batch, toWire(fleet.SynthStream("dn-2", 24, 1.4))...)
+	var batch []fleet.Obs
+	batch = append(batch, fleet.SynthStream("dn-1", 24, 0.2)...)
+	batch = append(batch, fleet.SynthStream("dn-2", 24, 1.4)...)
 	if _, err := cl.Push(ctx, batch); err != nil {
 		t.Fatalf("Push: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestDrainOp(t *testing.T) {
 	// The same connection keeps working, and the drained beacon
 	// re-admits from its drain checkpoint (the fleet's default MemStore)
 	// with Restored set.
-	res, err := cl.Push(ctx, toWire(fleet.SynthStream("dn-1", 24, 0.2)))
+	res, err := cl.Push(ctx, fleet.SynthStream("dn-1", 24, 0.2))
 	if err != nil {
 		t.Fatalf("post-drain Push: %v", err)
 	}

@@ -1,7 +1,7 @@
 // Fleet serving over the trace-exchange port: a server with an attached
-// fleet.Fleet accepts locb1 push frames carrying a mixed observation
-// batch and streams one result frame per beacon back (fixes, lifecycle
-// flags, per-beacon errors), terminated by a done frame. The exchange
+// fleet.Fleet accepts a locb2 push frame carrying a mixed batch of
+// fleet.Obs and answers it with one reply frame holding every beacon's
+// result (fixes, lifecycle flags, per-beacon errors). The exchange
 // rides the same connection lifecycle as every other op — the
 // connection cap's shedding, per-frame deadlines, and graceful drain (a
 // push waiting on a busy fleet shard is released through the server's
@@ -9,10 +9,10 @@
 //
 // The client side is pipelined: FleetClient keeps a bounded window of
 // push/drain exchanges in flight on one persistent connection, with a
-// reader goroutine matching response streams to exchanges in FIFO
-// order (TCP ordering plus the server's serial per-connection loop
-// guarantee responses come back in request order). Push latency hides
-// behind the window instead of paying a full round trip per batch.
+// reader goroutine matching reply frames to exchanges in FIFO order
+// (TCP ordering plus the server's serial per-connection loop guarantee
+// replies come back in request order). Push latency hides behind the
+// window instead of paying a full round trip per batch.
 package netproto
 
 import (
@@ -28,17 +28,7 @@ import (
 	"locble/internal/fleet"
 )
 
-// PushObs is one fleet observation on the wire: the beacon it belongs
-// to, its timestamp, raw RSS, and the observer's relative displacement.
-type PushObs struct {
-	Beacon string  `json:"beacon"`
-	T      float64 `json:"t"`
-	RSS    float64 `json:"rss"`
-	P      float64 `json:"p"`
-	Q      float64 `json:"q"`
-}
-
-// PushFix is one location fix streamed back for a pushed batch.
+// PushFix is one location fix a pushed batch completed.
 type PushFix struct {
 	T          float64 `json:"t"`
 	X          float64 `json:"x"`
@@ -50,7 +40,7 @@ type PushFix struct {
 	Samples    int     `json:"samples"`
 }
 
-// PushResult is one beacon's result frame in a push exchange.
+// PushResult is one beacon's result in a push reply.
 type PushResult struct {
 	Beacon string `json:"beacon"`
 	// Created / Restored report the session lifecycle event this batch
@@ -67,14 +57,7 @@ type PushResult struct {
 	Err string `json:"error,omitempty"`
 }
 
-// pushDone terminates a push exchange: Beacons is the number of result
-// frames that preceded it, so a client can detect a truncated stream.
-type pushDone struct {
-	Done    bool `json:"done"`
-	Beacons int  `json:"beacons"`
-}
-
-// SetFleet attaches a fleet, enabling batched ingest through locb1 push
+// SetFleet attaches a fleet, enabling batched ingest through locb2 push
 // frames on this server. Pass nil to detach (pushes are then refused).
 // Safe for concurrent use; the caller keeps ownership of the fleet and
 // is responsible for closing it after the server shuts down.
@@ -84,10 +67,18 @@ func (s *Server) SetFleet(f *fleet.Fleet) {
 	s.mu.Unlock()
 }
 
-// handlePush runs one push exchange: scrub the wire batch, hand it to
-// the fleet, stream the per-beacon results back. Returns false when the
-// connection should close.
-func (s *Server) handlePush(conn net.Conn, w *wireWriter, wire []PushObs) bool {
+// Admissible reports whether an observation crosses a push's wire
+// boundary: it names a beacon and, as sanitizeRSS asks of a bundle, all
+// its fields are finite (locb2 carries raw float bits). The server
+// drops the rest unseen; a router drops them before grouping.
+func Admissible(o fleet.Obs) bool {
+	return o.Beacon != "" && isFinite(o.T) && isFinite(o.RSS) && isFinite(o.P) && isFinite(o.Q)
+}
+
+// handlePush runs one push exchange: scrub the batch in place, hand it
+// to the fleet, write every beacon's result in one reply frame. Returns
+// false when the connection should close.
+func (s *Server) handlePush(conn net.Conn, w *wireWriter, batch []fleet.Obs) bool {
 	s.mu.Lock()
 	f := s.fleet
 	s.mu.Unlock()
@@ -95,32 +86,28 @@ func (s *Server) handlePush(conn net.Conn, w *wireWriter, wire []PushObs) bool {
 		w.writeError("no fleet attached")
 		return false
 	}
-	// Same boundary rule as sanitizeRSS: locb1 carries raw float bits,
-	// so a client can send NaN/Inf, and the poisoned entries are dropped
-	// here rather than fed to the sessions. Unnamed observations have no
-	// session to land on.
-	batch := make([]fleet.Obs, 0, len(wire))
-	for _, o := range wire {
-		if o.Beacon == "" || !isFinite(o.T) || !isFinite(o.RSS) || !isFinite(o.P) || !isFinite(o.Q) {
-			continue
+	kept := batch[:0]
+	for _, o := range batch {
+		if Admissible(o) {
+			kept = append(kept, o)
 		}
-		batch = append(batch, fleet.Obs{Beacon: o.Beacon, T: o.T, RSS: o.RSS, P: o.P, Q: o.Q})
 	}
 	// The drain context releases a push waiting on a wedged fleet shard
 	// when a forced shutdown fires — the exchange then reports context
 	// errors instead of wedging the drain.
-	res, err := f.PushBatchContext(s.drainCtx, batch)
+	res, err := f.PushBatchContext(s.drainCtx, kept)
 	if err != nil {
 		w.writeError(err.Error())
 		return false
 	}
+	out := make([]PushResult, len(res))
 	for i := range res {
 		r := &res[i]
-		out := PushResult{Beacon: r.Beacon, Created: r.Created, Restored: r.Restored, Quarantined: r.Quarantined}
+		out[i] = PushResult{Beacon: r.Beacon, Created: r.Created, Restored: r.Restored, Quarantined: r.Quarantined}
 		if len(r.Points) > 0 {
-			out.Fixes = make([]PushFix, len(r.Points))
+			out[i].Fixes = make([]PushFix, len(r.Points))
 			for j, pt := range r.Points {
-				out.Fixes[j] = PushFix{
+				out[i].Fixes[j] = PushFix{
 					T: pt.T, X: pt.Est.X, Y: pt.Est.H,
 					N: pt.Est.N, Gamma: pt.Est.Gamma,
 					Confidence: pt.Est.Confidence,
@@ -130,17 +117,13 @@ func (s *Server) handlePush(conn net.Conn, w *wireWriter, wire []PushObs) bool {
 			}
 		}
 		if r.Err != nil {
-			out.Err = r.Err.Error()
-		}
-		// Streamed frames each get a fresh write deadline: a long batch
-		// must not time out mid-stream as long as every frame moves.
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := w.writePushResult(&out); err != nil {
-			return false
+			out[i].Err = r.Err.Error()
 		}
 	}
+	// The fleet's work may have used up the deadline set when the
+	// request arrived; the reply gets a fresh one.
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	return w.writePushDone(len(res)) == nil
+	return w.writePushReply(out) == nil
 }
 
 // drainReply answers a {"op":"drain"} exchange: how many resident
@@ -188,16 +171,11 @@ var ErrPeerClosed = errors.New("netproto: server closed the idle connection")
 // errUnsolicited reports a frame that arrived with no exchange pending.
 var errUnsolicited = errors.New("netproto: unsolicited frame from server")
 
-// fleetExchange is one in-flight request awaiting its response stream.
+// fleetExchange is one in-flight request awaiting its reply frame.
 type fleetExchange struct {
-	kind int
+	op   string            // "push" or "drain"
 	done chan fleetOutcome // buffered: the reader never blocks delivering
 }
-
-const (
-	exPush = iota
-	exDrain
-)
 
 type fleetOutcome struct {
 	results []PushResult
@@ -205,7 +183,7 @@ type fleetOutcome struct {
 	err     error
 }
 
-// FleetClient is a locb1 client for a server's batched-ingest op. It
+// FleetClient is a locb2 client for a server's batched-ingest op. It
 // holds one persistent connection and pipelines exchanges over it: Push
 // and PushAsync are safe for concurrent use, and up to
 // DefaultPushWindow exchanges overlap on the wire. A failed exchange
@@ -228,7 +206,7 @@ type FleetClient struct {
 }
 
 // DialFleet connects to a server's TCP address for batched tracking
-// ingest and opens locb1 on the connection.
+// ingest and opens locb2 on the connection.
 func DialFleet(ctx context.Context, addr string) (*FleetClient, error) {
 	d := net.Dialer{}
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -296,7 +274,7 @@ func (c *FleetClient) poison(err error) {
 // writing is what makes ErrPeerClosed safe to resend: the reader only
 // reports it when nothing was pending, so nothing of this exchange can
 // have been written.
-func (c *FleetClient) enqueue(ctx context.Context, kind int, write func() error) (*fleetExchange, error) {
+func (c *FleetClient) enqueue(ctx context.Context, op string, write func() error) (*fleetExchange, error) {
 	if err := c.failed(); err != nil {
 		return nil, err
 	}
@@ -305,7 +283,7 @@ func (c *FleetClient) enqueue(ctx context.Context, kind int, write func() error)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	ex := &fleetExchange{kind: kind, done: make(chan fleetOutcome, 1)}
+	ex := &fleetExchange{op: op, done: make(chan fleetOutcome, 1)}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.mu.Lock()
@@ -359,18 +337,14 @@ func (c *FleetClient) readLoop() {
 		c.mu.Unlock()
 
 		out := fleetOutcome{err: err}
-		switch {
-		case err != nil:
-		case ex.kind == exDrain:
-			out = c.readDrain(fb)
-		default:
-			out = c.readPush(fb)
+		if err == nil {
+			out = c.readReply(fb, ex.op)
 		}
 
 		c.mu.Lock()
 		c.pending = c.pending[1:]
 		if out.err != nil && c.dead == nil {
-			// Any exchange-level failure is terminal: either the stream
+			// Any exchange-level failure is terminal: either the frame
 			// broke, or the server wrote an error frame — after which it
 			// closes the connection anyway.
 			c.dead = out.err
@@ -407,7 +381,7 @@ func (c *FleetClient) setWriteDeadline(ctx context.Context) {
 }
 
 // writePush writes one push request frame. Callers hold c.wmu.
-func (c *FleetClient) writePush(obs []PushObs) error {
+func (c *FleetClient) writePush(obs []fleet.Obs) error {
 	c.wfb.beginFrame()
 	c.wfb.b = appendPushReq(c.wfb.b, obs, &c.names)
 	return flushFrame(c.conn, c.wfb.b)
@@ -428,70 +402,33 @@ func exchangeError(op, msg string) error {
 	return fmt.Errorf("netproto: %s: server error: %s", op, msg)
 }
 
-// readPush consumes one push response stream (result frames until the
-// done frame). Each frame gets a fresh read deadline: a long stream
-// must keep moving, not finish fast.
-func (c *FleetClient) readPush(fb *frameBuf) fleetOutcome {
-	var out []PushResult
-	for {
-		c.conn.SetReadDeadline(time.Now().Add(FrameTimeout))
-		body, err := readFrameBody(c.br, fb)
-		if err != nil {
-			return fleetOutcome{err: err}
-		}
-		if len(body) == 0 {
-			return fleetOutcome{err: errBinMalformed}
-		}
-		switch body[0] {
-		case bfPushResult:
-			var r PushResult
-			if err := decodePushResult(body[1:], &r); err != nil {
-				return fleetOutcome{err: err}
-			}
-			accountFrameIn(len(body))
-			out = append(out, r)
-		case bfPushDone:
-			br := binReader{b: body[1:]}
-			beacons := br.intu()
-			if err := br.done(); err != nil {
-				return fleetOutcome{err: err}
-			}
-			accountFrameIn(len(body))
-			if len(out) != beacons {
-				return fleetOutcome{err: fmt.Errorf("netproto: push: stream truncated: got %d results, server sent %d", len(out), beacons)}
-			}
-			return fleetOutcome{results: out}
-		case bfError:
-			return fleetOutcome{err: decodeError("push", body)}
-		default:
-			return fleetOutcome{err: errBinMalformed}
-		}
-	}
-}
-
-// readDrain consumes one drain response frame.
-func (c *FleetClient) readDrain(fb *frameBuf) fleetOutcome {
+// readReply reads the one frame that answers an op exchange: a push
+// reply, a drain reply or a typed error.
+func (c *FleetClient) readReply(fb *frameBuf, op string) fleetOutcome {
 	c.conn.SetReadDeadline(time.Now().Add(FrameTimeout))
 	body, err := readFrameBody(c.br, fb)
 	if err != nil {
 		return fleetOutcome{err: err}
 	}
-	if len(body) == 0 {
+	var out fleetOutcome
+	switch {
+	case len(body) == 0:
 		return fleetOutcome{err: errBinMalformed}
-	}
-	switch body[0] {
-	case bfJSON:
+	case body[0] == bfError:
+		return fleetOutcome{err: decodeError(op, body)}
+	case body[0] == bfPushReply && op == "push":
+		out.results, out.err = decodePushReply(body[1:])
+	case body[0] == bfJSON && op == "drain":
 		var resp drainReply
-		if err := json.Unmarshal(body[1:], &resp); err != nil {
-			return fleetOutcome{err: err}
-		}
-		accountFrameIn(len(body))
-		return fleetOutcome{drained: resp.Drained}
-	case bfError:
-		return fleetOutcome{err: decodeError("drain", body)}
+		out.err = json.Unmarshal(body[1:], &resp)
+		out.drained = resp.Drained
 	default:
 		return fleetOutcome{err: errBinMalformed}
 	}
+	if out.err == nil {
+		accountFrameIn(len(body))
+	}
+	return out
 }
 
 // PushPending is one pipelined push in flight. Wait collects its
@@ -504,7 +441,7 @@ type PushPending struct {
 
 // Wait blocks until the exchange completes or ctx ends. A canceled
 // Wait abandons the result but the exchange still completes on the
-// wire (the reader consumes its response stream to keep the pipeline
+// wire (the reader consumes its reply frame to keep the pipeline
 // frame-aligned); calling Wait again re-collects it.
 func (p *PushPending) Wait(ctx context.Context) ([]PushResult, error) {
 	if !p.got {
@@ -521,21 +458,22 @@ func (p *PushPending) Wait(ctx context.Context) ([]PushResult, error) {
 // PushAsync sends one observation batch without waiting for its
 // results: it blocks only while the pipeline window is full. Safe for
 // concurrent use; responses match requests in send order.
-func (c *FleetClient) PushAsync(ctx context.Context, obs []PushObs) (*PushPending, error) {
-	ex, err := c.enqueue(ctx, exPush, func() error { return c.writePush(obs) })
+func (c *FleetClient) PushAsync(ctx context.Context, obs []fleet.Obs) (*PushPending, error) {
+	ex, err := c.enqueue(ctx, "push", func() error { return c.writePush(obs) })
 	if err != nil {
 		return nil, err
 	}
 	return &PushPending{ex: ex}, nil
 }
 
-// Push sends one observation batch and reads the streamed per-beacon
-// results until the server's done frame. Per-beacon ingest failures are
-// reported in each PushResult.Err; the error return is for exchange-
-// level failures (overload shed, no fleet attached, a dropped
-// connection, a truncated stream). Safe for concurrent use: concurrent
-// pushes pipeline onto the shared connection.
-func (c *FleetClient) Push(ctx context.Context, obs []PushObs) ([]PushResult, error) {
+// Push sends one observation batch and returns the per-beacon results
+// of the server's reply: one per distinct beacon that survives the
+// boundary scrub (Admissible), in first-appearance order. Per-beacon
+// ingest failures are reported in each PushResult.Err; the error return
+// is for exchange-level failures (overload shed, no fleet attached, a
+// dropped connection, a malformed reply). Safe for concurrent use:
+// concurrent pushes pipeline onto the shared connection.
+func (c *FleetClient) Push(ctx context.Context, obs []fleet.Obs) ([]PushResult, error) {
 	p, err := c.PushAsync(ctx, obs)
 	if err != nil {
 		return nil, err
@@ -550,7 +488,7 @@ func (c *FleetClient) Push(ctx context.Context, obs []PushObs) ([]PushResult, er
 // restored from. A drain rides the pipeline like any exchange: it
 // completes after the pushes written before it.
 func (c *FleetClient) Drain(ctx context.Context) (int, error) {
-	ex, err := c.enqueue(ctx, exDrain, c.writeDrain)
+	ex, err := c.enqueue(ctx, "drain", c.writeDrain)
 	if err != nil {
 		return 0, err
 	}

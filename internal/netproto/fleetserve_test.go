@@ -39,14 +39,6 @@ func newPushServer(t *testing.T, cfg ServerConfig) (*Server, *fleet.Fleet) {
 	return srv, fl
 }
 
-func toWire(obs []fleet.Obs) []PushObs {
-	out := make([]PushObs, len(obs))
-	for i, o := range obs {
-		out[i] = PushObs{Beacon: o.Beacon, T: o.T, RSS: o.RSS, P: o.P, Q: o.Q}
-	}
-	return out
-}
-
 // TestPushOpStreamsFixes drives batched ingest over the wire and checks
 // the streamed fixes are bit-identical to a local session fed the same
 // observations: the protocol is pure transport (JSON float64 round-trips
@@ -69,9 +61,9 @@ func TestPushOpStreamsFixes(t *testing.T) {
 	}
 	wireFixes := map[string][]PushFix{}
 	for lo := 0; lo < n; lo += slice {
-		var batch []PushObs
+		var batch []fleet.Obs
 		for _, s := range streams {
-			batch = append(batch, toWire(s[lo:lo+slice])...)
+			batch = append(batch, s[lo:lo+slice]...)
 		}
 		res, err := cl.Push(ctx, batch)
 		if err != nil {
@@ -143,11 +135,11 @@ func TestPushOpScrubsBoundary(t *testing.T) {
 	}
 	defer cl.Close()
 
-	batch := toWire(fleet.SynthStream("ok", 8, 0))
+	batch := fleet.SynthStream("ok", 8, 0)
 	batch = append(batch,
-		PushObs{Beacon: "poison", T: 1, RSS: math.NaN(), P: 0, Q: 0},
-		PushObs{Beacon: "poison", T: math.Inf(1), RSS: -60, P: 0, Q: 0},
-		PushObs{Beacon: "", T: 2, RSS: -60, P: 0, Q: 0},
+		fleet.Obs{Beacon: "poison", T: 1, RSS: math.NaN(), P: 0, Q: 0},
+		fleet.Obs{Beacon: "poison", T: math.Inf(1), RSS: -60, P: 0, Q: 0},
+		fleet.Obs{Beacon: "", T: 2, RSS: -60, P: 0, Q: 0},
 	)
 	res, err := cl.Push(ctx, batch)
 	if err != nil {
@@ -158,6 +150,41 @@ func TestPushOpScrubsBoundary(t *testing.T) {
 	}
 	if got := fl.Sessions(); got != 1 {
 		t.Errorf("Sessions() = %d, want 1 (poisoned beacon must not get a session)", got)
+	}
+}
+
+// TestPushOpIsOneFrameEachWay: a push exchange is one request frame and
+// one reply frame, however many beacons its batch holds. Client and
+// server share the process-wide frame counters, so each direction
+// counts once as out and once as in; the test must not run in parallel
+// with other traffic.
+func TestPushOpIsOneFrameEachWay(t *testing.T) {
+	srv, _ := newPushServer(t, ServerConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cl, err := DialFleet(ctx, srv.Addr())
+	if err != nil {
+		t.Fatalf("DialFleet: %v", err)
+	}
+	defer cl.Close()
+
+	var batch []fleet.Obs
+	for i, name := range []string{"one", "two", "three"} {
+		batch = append(batch, fleet.SynthStream(name, 8, float64(i))...)
+	}
+	out, in := metFramesOut.Value(), metFramesIn.Value()
+	res, err := cl.Push(ctx, batch)
+	if err != nil {
+		t.Fatalf("Push: %v", err)
+	}
+	if len(res) != 3 {
+		t.Fatalf("push returned %d results, want 3", len(res))
+	}
+	// The server counts a frame out after its write returns, which can
+	// be after the client has read it; Close waits for the handler.
+	srv.Close()
+	if dOut, dIn := metFramesOut.Value()-out, metFramesIn.Value()-in; dOut != 2 || dIn != 2 {
+		t.Fatalf("a 3-beacon push moved frames.out by %d and frames.in by %d, want 2 and 2", dOut, dIn)
 	}
 }
 
@@ -176,7 +203,7 @@ func TestPushOpNoFleet(t *testing.T) {
 		t.Fatalf("DialFleet: %v", err)
 	}
 	defer cl.Close()
-	if _, err := cl.Push(ctx, toWire(fleet.SynthStream("b", 4, 0))); err == nil {
+	if _, err := cl.Push(ctx, fleet.SynthStream("b", 4, 0)); err == nil {
 		t.Fatal("Push on a fleet-less server succeeded, want server error")
 	}
 }
@@ -196,7 +223,7 @@ func TestPushOpOverloadShed(t *testing.T) {
 	defer hold.Close()
 	// Occupy the only slot with a real exchange so the connection is
 	// registered before the second dial.
-	if _, err := hold.Push(ctx, toWire(fleet.SynthStream("holder", 4, 0))); err != nil {
+	if _, err := hold.Push(ctx, fleet.SynthStream("holder", 4, 0)); err != nil {
 		t.Fatalf("holder Push: %v", err)
 	}
 
@@ -205,7 +232,7 @@ func TestPushOpOverloadShed(t *testing.T) {
 		t.Fatalf("DialFleet(shed): %v", err)
 	}
 	defer shed.Close()
-	_, err = shed.Push(ctx, toWire(fleet.SynthStream("shed", 4, 0)))
+	_, err = shed.Push(ctx, fleet.SynthStream("shed", 4, 0))
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("shed Push error = %v, want ErrOverloaded", err)
 	}
@@ -269,9 +296,9 @@ func TestPushOpQuarantinedOnWire(t *testing.T) {
 	}
 	defer cl.Close()
 
-	var batch []PushObs
-	batch = append(batch, toWire(fleet.SynthStream("q-bad", 24, 0.2))...)
-	batch = append(batch, toWire(fleet.SynthStream("q-ok", 24, 1.1))...)
+	var batch []fleet.Obs
+	batch = append(batch, fleet.SynthStream("q-bad", 24, 0.2)...)
+	batch = append(batch, fleet.SynthStream("q-ok", 24, 1.1)...)
 	res, err := cl.Push(ctx, batch)
 	if err != nil {
 		t.Fatalf("Push: %v", err)
@@ -347,7 +374,7 @@ func TestPushOpDurableRestart(t *testing.T) {
 
 		var fixes []PushFix
 		for at := lo; at < hi; at += slice {
-			res, err := cl.Push(ctx, toWire(stream[at:at+slice]))
+			res, err := cl.Push(ctx, stream[at:at+slice])
 			if err != nil {
 				t.Fatalf("Push @%d: %v", at, err)
 			}

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"locble/internal/fleet"
 )
 
 // FuzzReadFrame feeds arbitrary bytes to the frame decoder: truncated
@@ -50,7 +52,7 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzBinaryFrame feeds arbitrary bytes to every locb1 frame decoder as
+// FuzzBinaryFrame feeds arbitrary bytes to every locb2 frame decoder as
 // one tagged body (the shape that arrives off the wire after the length
 // prefix). The decoders must never panic and never read outside the
 // body — forged counts, truncated floats, out-of-range intern
@@ -59,28 +61,33 @@ func FuzzReadFrame(f *testing.F) {
 // canonical encoder (the re-encoded bytes may differ — the encoder
 // interns canonically — but the decoded values must not).
 func FuzzBinaryFrame(f *testing.F) {
-	obs := []PushObs{
+	obs := []fleet.Obs{
 		{Beacon: "kitchen-tag", T: 1.25, RSS: -61.5, P: 0.1, Q: -0.2},
 		{Beacon: "door-tag", T: 2.25, RSS: -72.5, P: 0.3, Q: 0.4},
 		{Beacon: "kitchen-tag", T: 3.25, RSS: -62, P: 0.5, Q: 0.6},
 	}
 	var enc BinaryPushEncoder
 	f.Add(append([]byte{}, enc.Encode(obs)[4:]...)) // tagged push-req body
-	res := PushResult{Beacon: "kitchen-tag", Created: true, Fixes: []PushFix{
-		{T: 1, X: 2.5, Y: -0.5, N: 2.1, Gamma: 0.9, Confidence: 0.8, Mode: "near", Samples: 12},
-	}}
-	f.Add(appendPushResult(nil, &res))
+	reply := appendPushReply(nil, []PushResult{
+		{Beacon: "kitchen-tag", Created: true, Fixes: []PushFix{
+			{T: 1, X: 2.5, Y: -0.5, N: 2.1, Gamma: 0.9, Confidence: 0.8, Mode: "near", Samples: 12},
+		}},
+		{Beacon: "door-tag", Err: "fleet: shard session cap reached"},
+	})
+	f.Add(reply)
 	f.Add(appendStreamBatch(nil, &StreamBatch{
 		Seq: 7, Final: true,
 		RSS:    []TimedRSS{{T: 0.5, RSS: -70, Chan: 38}},
 		Motion: []MotionPoint{{T: 0.5, X: 1.5, Y: -2.5}},
 	}))
 	f.Add(appendError(nil, "overloaded"))
-	f.Add(appendPushDone(nil, 3))
+	f.Add(appendPushReply(nil, nil))      // empty reply
+	f.Add(reply[:len(reply)-3])           // truncated reply
+	f.Add([]byte{0x03, 0x03})             // the retired push trailer tag
 	f.Add([]byte{})                       // empty body
 	f.Add([]byte{bfPushReq})              // missing count
 	f.Add([]byte{bfPushReq, 0x01, 0x05})  // count promises more than present
-	f.Add([]byte{bfPushResult, 0xFF})     // string length past the end
+	f.Add([]byte{bfPushReply, 1, 0xFF})   // string length past the end
 	f.Add([]byte{bfStreamBatch, 1, 0, 2}) // forged RSS count
 	f.Add([]byte{0x7F, 1, 2, 3})          // unknown tag
 
@@ -117,23 +124,28 @@ func FuzzBinaryFrame(f *testing.F) {
 					t.Fatalf("obs %d changed in round trip: %+v -> %+v", i, obs[i], again[i])
 				}
 			}
-		case bfPushResult:
-			var r PushResult
-			if decodePushResult(body[1:], &r) != nil {
+		case bfPushReply:
+			res, err := decodePushReply(body[1:])
+			if err != nil {
 				return
 			}
-			re := appendPushResult(nil, &r)
-			var r2 PushResult
-			if err := decodePushResult(re[1:], &r2); err != nil {
-				t.Fatalf("accepted push-result failed to round-trip: %v", err)
+			again, err := decodePushReply(appendPushReply(nil, res)[1:])
+			if err != nil {
+				t.Fatalf("accepted push reply failed to round-trip: %v", err)
 			}
-			if r.Beacon != r2.Beacon || r.Created != r2.Created || r.Restored != r2.Restored ||
-				r.Quarantined != r2.Quarantined || r.Err != r2.Err || len(r.Fixes) != len(r2.Fixes) {
-				t.Fatalf("result changed in round trip: %+v -> %+v", r, r2)
+			if len(again) != len(res) {
+				t.Fatalf("round trip changed result count: %d -> %d", len(res), len(again))
 			}
-			for i := range r.Fixes {
-				if !fixEq(r.Fixes[i], r2.Fixes[i]) {
-					t.Fatalf("fix %d changed in round trip: %+v -> %+v", i, r.Fixes[i], r2.Fixes[i])
+			for i := range res {
+				r, r2 := res[i], again[i]
+				if r.Beacon != r2.Beacon || r.Created != r2.Created || r.Restored != r2.Restored ||
+					r.Quarantined != r2.Quarantined || r.Err != r2.Err || len(r.Fixes) != len(r2.Fixes) {
+					t.Fatalf("result %d changed in round trip: %+v -> %+v", i, r, r2)
+				}
+				for j := range r.Fixes {
+					if !fixEq(r.Fixes[j], r2.Fixes[j]) {
+						t.Fatalf("result %d fix %d changed in round trip: %+v -> %+v", i, j, r.Fixes[j], r2.Fixes[j])
+					}
 				}
 			}
 		case bfStreamBatch:
@@ -170,10 +182,6 @@ func FuzzBinaryFrame(f *testing.F) {
 					t.Fatalf("empty message decoded from %x", body)
 				}
 			}
-		case bfPushDone:
-			r := binReader{b: body[1:]}
-			_ = r.intu()
-			_ = r.done()
 		}
 	})
 }

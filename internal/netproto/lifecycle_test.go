@@ -347,7 +347,7 @@ func TestServerServesEveryOpAtOnce(t *testing.T) {
 		if err := srv.Publish([]TimedRSS{{T: float64(i), RSS: -60}}, nil, false); err != nil {
 			t.Fatalf("Publish %d: %v", i, err)
 		}
-		res, err := cl.Push(ctx, toWire(stream[i*slice:(i+1)*slice]))
+		res, err := cl.Push(ctx, stream[i*slice:(i+1)*slice])
 		if err != nil || len(res) != 1 || res[0].Err != "" {
 			t.Fatalf("Push %d = %+v, %v", i, res, err)
 		}
@@ -365,7 +365,7 @@ func TestServerServesEveryOpAtOnce(t *testing.T) {
 	if _, ok := <-ch; ok {
 		t.Error("batches after the terminal draining frame")
 	}
-	if _, err := cl.Push(ctx, toWire(stream[:slice])); err == nil {
+	if _, err := cl.Push(ctx, stream[:slice]); err == nil {
 		t.Error("Push after Shutdown succeeded")
 	}
 }

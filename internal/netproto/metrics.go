@@ -44,7 +44,7 @@ var (
 	// the session history).
 	metSubsActive = obs.Default.Gauge("netproto.stream.subs.active")
 
-	// Hello outcomes (server side): connections opened onto locb1 (one
+	// Hello outcomes (server side): connections opened onto locb2 (one
 	// per accepted hello), and refusals — an unknown codec, a mid-stream
 	// hello, or a push/subscribe on a connection that never said hello.
 	// Plain JSON connections (fetch, metrics) count nowhere.

@@ -5,8 +5,9 @@
 // semantics with a small, self-contained protocol: UDP discovery
 // (request/offer, like SSDP's M-SEARCH) plus length-prefixed frames over
 // TCP. One Server answers every TCP op: the trace bundle (fetch) and
-// metrics in plain JSON, and — after a locb1 hello — fleet ingest (push,
-// drain) and the live trace stream (subscribe); see codec.go.
+// metrics in plain JSON, and — after a locb2 hello — fleet ingest (push
+// and drain, one request frame and one reply frame each) and the live
+// trace stream (subscribe); see codec.go.
 //
 // The server is built for long-running serving, with one mechanism per
 // job: per-frame read and write deadlines bound every connection, a
@@ -554,7 +555,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		first = false
 		if !w.binary && (req.Op == "push" || req.Op == "subscribe") {
-			// The hot frames exist only in locb1: a connection that never
+			// The hot frames exist only in locb2: a connection that never
 			// said hello cannot carry them.
 			metCodecRejected.Inc()
 			w.writeError(req.Op + " requires the " + CodecBinary + " codec: open with a hello")

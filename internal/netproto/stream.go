@@ -12,7 +12,7 @@ import (
 // continuous tracking session the target pushes (RSS, motion) batches as
 // they are produced instead of one bundle at the end — what the
 // observer's sliding-window tracker consumes. It is the Server's
-// subscribe op: after the locb1 hello, a subscriber sends
+// subscribe op: after the locb2 hello, a subscriber sends
 // {"op":"subscribe","from":N} (bfJSON-wrapped) and the connection
 // becomes a one-way stream of bfStreamBatch frames.
 //
@@ -187,7 +187,7 @@ type subConn struct {
 	br   *bufio.Reader
 }
 
-// dialSubscribe opens a locb1 connection and sends the subscribe frame.
+// dialSubscribe opens a locb2 connection and sends the subscribe frame.
 func dialSubscribe(ctx context.Context, addr string, from int) (*subConn, error) {
 	d := net.Dialer{}
 	conn, err := d.DialContext(ctx, "tcp", addr)

@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"strings"
+
+	"locble/internal/netproto"
 )
 
 // Tolerances are the allowed fractional regressions per axis.
@@ -104,12 +106,13 @@ func rows(t Tolerances) []row {
 		{path: keys("router", "single_wall_seconds"), worse: higher, tol: 2 * t.Wall},
 		{path: keys("router", "drain_wall_seconds"), worse: higher, tol: t.Dur, slack: 0.05},
 		{path: keys("router", "fixes"), worse: lower, why: "routed fixes were lost"},
-		// locb1 against a JSON push: a binary codec that merely matches
-		// JSON has lost its reason to exist, so the ratios are floors.
-		// Frame size is deterministic; throughput is wall time, and its
-		// MemStats probes make it noisier than a plain loop.
-		{path: keys("wire", "speedup_x"), op: ">=", bound: 2, why: "locb1 no longer beats JSON 2x on round-trip throughput"},
-		{path: keys("wire", "alloc_ratio_x"), op: ">=", bound: 5, why: "locb1 lost its allocs/frame advantage over JSON"},
+		// The binary codec against a JSON push: a binary codec that
+		// merely matches JSON has lost its reason to exist, so the
+		// ratios are floors. Frame size is deterministic; throughput is
+		// wall time, and its MemStats probes make it noisier than a
+		// plain loop.
+		{path: keys("wire", "speedup_x"), op: ">=", bound: 2, why: netproto.CodecBinary + " no longer beats JSON 2x on round-trip throughput"},
+		{path: keys("wire", "alloc_ratio_x"), op: ">=", bound: 5, why: netproto.CodecBinary + " lost its allocs/frame advantage over JSON"},
 		{path: keys("wire", "binary", "encode_allocs_per_frame"), op: "<", bound: 1, why: "the binary encoder stopped reusing its buffer"},
 		{path: keys("wire", "binary", "frames_per_second"), worse: lower, tol: 2 * t.Wall},
 		{path: keys("wire", "binary", "bytes_per_obs"), worse: higher, tol: t.Err},

@@ -30,6 +30,7 @@ import (
 	"locble/internal/core"
 	"locble/internal/estimate"
 	"locble/internal/fleet"
+	"locble/internal/netproto"
 )
 
 // Config parameterizes a benchmark run.
@@ -401,12 +402,7 @@ func fleetBenchOnce() (*FleetStats, error) {
 
 	streams := make([][]locble.FleetObs, nBeacons)
 	for i := range streams {
-		name := fmt.Sprintf("fb-%02d", i)
-		for _, o := range fleet.SynthStream(name, n, 0.37*float64(i)) {
-			streams[i] = append(streams[i], locble.FleetObs{
-				Beacon: o.Beacon, T: o.T, RSS: o.RSS, P: o.P, Q: o.Q,
-			})
-		}
+		streams[i] = fleet.SynthStream(fmt.Sprintf("fb-%02d", i), n, 0.37*float64(i))
 	}
 
 	fixes := 0
@@ -679,8 +675,8 @@ func (r *Report) Summary() string {
 			r.Router.DrainWallSeconds*1e3, r.Router.DrainedSessions, r.Router.FixesLost)
 	}
 	if r.Wire != nil {
-		s += fmt.Sprintf("; wire: locb1 %.2fx JSON throughput, allocs/frame %.1f vs %.1f (%.1fx), %.0f vs %.0f B/obs",
-			r.Wire.SpeedupX, r.Wire.Binary.AllocsPerFrame, r.Wire.JSON.AllocsPerFrame,
+		s += fmt.Sprintf("; wire: %s %.2fx JSON throughput, allocs/frame %.1f vs %.1f (%.1fx), %.0f vs %.0f B/obs",
+			netproto.CodecBinary, r.Wire.SpeedupX, r.Wire.Binary.AllocsPerFrame, r.Wire.JSON.AllocsPerFrame,
 			r.Wire.AllocRatioX, r.Wire.Binary.BytesPerObs, r.Wire.JSON.BytesPerObs)
 	}
 	return s

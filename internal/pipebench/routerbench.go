@@ -149,11 +149,9 @@ func routerBenchOnce() (*RouterStats, error) {
 		}
 		defer cl.Close()
 		for lo := 0; lo < routerObsN; lo += routerSlice {
-			batch := make([]netproto.PushObs, 0, routerBeacons*routerSlice)
+			batch := make([]fleet.Obs, 0, routerBeacons*routerSlice)
 			for _, s := range streams {
-				for _, o := range s[lo : lo+routerSlice] {
-					batch = append(batch, netproto.PushObs{Beacon: o.Beacon, T: o.T, RSS: o.RSS, P: o.P, Q: o.Q})
-				}
+				batch = append(batch, s[lo:lo+routerSlice]...)
 			}
 			res, err := cl.Push(ctx, batch)
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"locble/internal/fleet"
 	"locble/internal/netproto"
 )
 
@@ -31,7 +32,8 @@ type WireCodecStats struct {
 // WireStats is the wire-codec benchmark section: the same push-request
 // workload — wireBeacons beacons interleaved at wireObsPerBeacon
 // observations each, the shape a router sub-batch has on the wire —
-// encoded and decoded through the JSON path and the locb1 binary path.
+// encoded and decoded through the JSON path and the binary
+// (netproto.CodecBinary) path.
 // SpeedupX and AllocRatioX are the headline binary-vs-JSON ratios the
 // gate holds absolute floors on.
 type WireStats struct {
@@ -56,11 +58,11 @@ const (
 // observation by observation (the unfavorable order for the binary
 // encoder's intern scan — every entry switches beacons), deterministic
 // values throughout.
-func wireWorkload() []netproto.PushObs {
-	obs := make([]netproto.PushObs, 0, wireBeacons*wireObsPerBeacon)
+func wireWorkload() []fleet.Obs {
+	obs := make([]fleet.Obs, 0, wireBeacons*wireObsPerBeacon)
 	for i := 0; i < wireObsPerBeacon; i++ {
 		for b := 0; b < wireBeacons; b++ {
-			obs = append(obs, netproto.PushObs{
+			obs = append(obs, fleet.Obs{
 				Beacon: fmt.Sprintf("wire-%02d", b),
 				T:      float64(i) * 0.125,
 				RSS:    -58.5 - 0.75*float64((b+i)%13),
@@ -109,10 +111,10 @@ func runWireBench() (*WireStats, error) {
 
 // measureJSONWire drives the production JSON framing path: pooled
 // single-write WriteFrame encodes, pooled-read ReadFrame decodes.
-func measureJSONWire(obs []netproto.PushObs) (WireCodecStats, error) {
+func measureJSONWire(obs []fleet.Obs) (WireCodecStats, error) {
 	req := struct {
-		Op  string             `json:"op"`
-		Obs []netproto.PushObs `json:"obs"`
+		Op  string      `json:"op"`
+		Obs []fleet.Obs `json:"obs"`
 	}{Op: "push", Obs: obs}
 	var buf bytes.Buffer
 	if err := netproto.WriteFrame(&buf, &req); err != nil {
@@ -137,8 +139,8 @@ func measureJSONWire(obs []netproto.PushObs) (WireCodecStats, error) {
 	encAllocs := ms1.Mallocs - ms0.Mallocs
 
 	var dec struct {
-		Op  string             `json:"op"`
-		Obs []netproto.PushObs `json:"obs"`
+		Op  string      `json:"op"`
+		Obs []fleet.Obs `json:"obs"`
 	}
 	rd := bytes.NewReader(frame)
 	runtime.ReadMemStats(&ms0)
@@ -158,10 +160,10 @@ func measureJSONWire(obs []netproto.PushObs) (WireCodecStats, error) {
 	return wireStatsFrom("json", len(frame), len(obs), encWall, decWall, encAllocs, ms1.Mallocs-ms0.Mallocs), nil
 }
 
-// measureBinaryWire drives the locb1 path through the exported reusable
+// measureBinaryWire drives the binary path through the exported reusable
 // encoder/decoder — the same appendPushReq/decodePushReq core the
 // negotiated connection uses.
-func measureBinaryWire(obs []netproto.PushObs) (WireCodecStats, error) {
+func measureBinaryWire(obs []fleet.Obs) (WireCodecStats, error) {
 	var enc netproto.BinaryPushEncoder
 	var dec netproto.BinaryPushDecoder
 	frame := append([]byte(nil), enc.Encode(obs)...)
@@ -184,7 +186,7 @@ func measureBinaryWire(obs []netproto.PushObs) (WireCodecStats, error) {
 	runtime.ReadMemStats(&ms1)
 	encAllocs := ms1.Mallocs - ms0.Mallocs
 
-	var got []netproto.PushObs
+	var got []fleet.Obs
 	runtime.ReadMemStats(&ms0)
 	decStart := time.Now()
 	for i := 0; i < wireFrames; i++ {

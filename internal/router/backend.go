@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 
+	"locble/internal/fleet"
 	"locble/internal/netproto"
 	"locble/internal/obs"
 )
@@ -16,7 +17,7 @@ import (
 // in-process fakes. Implementations must be safe for concurrent use —
 // overlapping PushBatch calls push to the same node at the same time.
 type Backend interface {
-	Push(ctx context.Context, obs []netproto.PushObs) ([]netproto.PushResult, error)
+	Push(ctx context.Context, obs []fleet.Obs) ([]netproto.PushResult, error)
 	Drain(ctx context.Context) (int, error)
 	Close() error
 }
@@ -103,7 +104,7 @@ func exchange[T any](ctx context.Context, b *dialBackend, do func(*netproto.Flee
 
 // Push implements Backend over the push exchange. Concurrent calls
 // pipeline onto the shared connection.
-func (b *dialBackend) Push(ctx context.Context, obs []netproto.PushObs) ([]netproto.PushResult, error) {
+func (b *dialBackend) Push(ctx context.Context, obs []fleet.Obs) ([]netproto.PushResult, error) {
 	return exchange(ctx, b, func(cl *netproto.FleetClient) ([]netproto.PushResult, error) {
 		return cl.Push(ctx, obs)
 	})

@@ -234,7 +234,7 @@ type fakeNode struct {
 	down atomic.Bool
 }
 
-func (f *fakeNode) Push(ctx context.Context, obs []netproto.PushObs) ([]netproto.PushResult, error) {
+func (f *fakeNode) Push(ctx context.Context, obs []fleet.Obs) ([]netproto.PushResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -54,9 +54,10 @@ const ReasonNodeFailover = "node-failover"
 // deployment agree on each beacon's owner without talking to each
 // other, and every node's breaker follows the same policy (breaker.go).
 type Config struct {
-	// Codec names the wire codec spoken to each node. locb1 is the only
-	// one, so New accepts only "" and netproto.CodecBinary; the field
-	// remains because callers (the perfbench harness) set it explicitly.
+	// Codec names the wire codec spoken to each node. locb2
+	// (netproto.CodecBinary) is the only one, so New accepts only "" and
+	// netproto.CodecBinary; the field remains because callers (the
+	// perfbench harness) set it explicitly.
 	Codec string
 }
 
@@ -80,7 +81,7 @@ type Result struct {
 	Degraded       bool
 	DegradedReason string
 	// Fixes are the location fixes this batch completed on the serving
-	// node, bit-identical to a local session (locb1 carries raw float64
+	// node, bit-identical to a local session (locb2 carries raw float64
 	// bits).
 	Fixes []netproto.PushFix
 	// Err is this beacon's failure: ErrNoNodes, the batch context's
@@ -195,9 +196,12 @@ type share struct {
 // PushBatch routes a mixed observation batch to its nodes, pushes the
 // per-node sub-batches in parallel, and merges one Result per distinct
 // beacon in first-appearance order — the same contract as
-// fleet.PushBatch, across machines. Groups whose home node fails are
-// retried on the next surviving ring node with Degraded set; only a
-// batch against a closed router errors as a whole.
+// fleet.PushBatch, across machines. A beacon gets a Result when at
+// least one of its observations passes netproto.Admissible, the wire's
+// boundary rule; the rest are dropped here, as a node would drop them,
+// so a routed batch gets the results a direct push would. Groups whose
+// home node fails are retried on the next surviving ring node with
+// Degraded set; only a batch against a closed router errors as a whole.
 func (r *Router) PushBatch(ctx context.Context, batch []fleet.Obs) ([]Result, error) {
 	if len(batch) == 0 {
 		return nil, nil
@@ -214,15 +218,19 @@ func (r *Router) PushBatch(ctx context.Context, batch []fleet.Obs) ([]Result, er
 	defer sp.End()
 	r.met.batches.Inc()
 	r.met.batchSize.Observe(float64(len(batch)))
-	r.met.obsRouted.Add(int64(len(batch)))
 
 	// Group by beacon, preserving first-appearance order between groups
 	// and input order within each (the fleet's own grouping rule, so a
 	// routed batch decomposes exactly like a local one).
 	idx := make(map[string]int, 16)
 	results := make([]Result, 0, 16)
-	groupObs := make([][]netproto.PushObs, 0, 16)
+	groupObs := make([][]fleet.Obs, 0, 16)
+	routed := 0
 	for _, o := range batch {
+		if !netproto.Admissible(o) {
+			continue
+		}
+		routed++
 		g, ok := idx[o.Beacon]
 		if !ok {
 			g = len(results)
@@ -230,8 +238,9 @@ func (r *Router) PushBatch(ctx context.Context, batch []fleet.Obs) ([]Result, er
 			results = append(results, Result{Beacon: o.Beacon})
 			groupObs = append(groupObs, nil)
 		}
-		groupObs[g] = append(groupObs[g], netproto.PushObs{Beacon: o.Beacon, T: o.T, RSS: o.RSS, P: o.P, Q: o.Q})
+		groupObs[g] = append(groupObs[g], o)
 	}
+	r.met.obsRouted.Add(int64(routed))
 
 	round := make([]*pending, len(results))
 	for g := range results {
@@ -285,13 +294,15 @@ func (r *Router) PushBatch(ctx context.Context, batch []fleet.Obs) ([]Result, er
 
 // pushNode sends one node its share of a round in one exchange, settles
 // the exchange with the node's breaker and fills the result slots
-// (disjoint across nodes, so no locking). It returns the groups to fail
-// over after an exchange-level failure; a canceled context reports the
-// context error instead of blaming the node.
-func (r *Router) pushNode(ctx context.Context, ni int, sh *share, groupObs [][]netproto.PushObs, results []Result) []*pending {
+// (disjoint across nodes, so no locking). Every group is admissible and
+// distinct, so the node's reply holds one result per group, in the
+// order sent. It returns the groups to fail over after an
+// exchange-level failure; a canceled context reports the context error
+// instead of blaming the node.
+func (r *Router) pushNode(ctx context.Context, ni int, sh *share, groupObs [][]fleet.Obs, results []Result) []*pending {
 	n := r.nodes[ni]
 	ps := sh.ps
-	wire := make([]netproto.PushObs, 0, 64)
+	wire := make([]fleet.Obs, 0, 64)
 	for _, p := range ps {
 		wire = append(wire, groupObs[p.gi]...)
 	}
@@ -324,14 +335,9 @@ func (r *Router) pushNode(ctx context.Context, ni int, sh *share, groupObs [][]n
 		return ps
 	}
 	n.br.settle(sh.epoch, succeeded)
-	byName := make(map[string]*netproto.PushResult, len(res))
-	for i := range res {
-		byName[res[i].Beacon] = &res[i]
-	}
-	for _, p := range ps {
+	for i, p := range ps {
 		out := &results[p.gi]
-		pr := byName[out.Beacon]
-		if pr == nil {
+		if i >= len(res) || res[i].Beacon != out.Beacon {
 			// The node answered but not for this beacon — a protocol
 			// breach, surfaced per beacon rather than failed over (the
 			// node is alive; re-sending elsewhere would double-ingest
@@ -339,6 +345,7 @@ func (r *Router) pushNode(ctx context.Context, ni int, sh *share, groupObs [][]n
 			out.Err = fmt.Errorf("router: node %s returned no result for %q", n.addr, out.Beacon)
 			continue
 		}
+		pr := &res[i]
 		out.Node = n.addr
 		out.Created = pr.Created
 		out.Restored = pr.Restored

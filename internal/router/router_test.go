@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -63,7 +64,7 @@ func clusterAddrs(nodes []*testNode) []string {
 
 // localReplay is the ground truth: one uninterrupted standalone session
 // fed the stream sequentially, fixes in wire shape for struct-equality
-// comparison (locb1 carries raw float64 bits, so wire == local bit for
+// comparison (locb2 carries raw float64 bits, so wire == local bit for
 // bit).
 func localReplay(t *testing.T, eng *core.Engine, beacon string, stream []fleet.Obs) []netproto.PushFix {
 	t.Helper()
@@ -490,6 +491,60 @@ func TestRouterIdleConnectionRedials(t *testing.T) {
 	}
 }
 
+// TestRouterMatchesDirectPushOnScrubbedObs: observations the wire's
+// boundary rule drops (a non-finite reading, an unnamed one) are
+// dropped by the router too, so a routed batch gets exactly the results
+// a direct push of the same batch gets — no result, not a per-beacon
+// protocol error, for a beacon left with none — and the router counts
+// as routed only what a direct push lands.
+func TestRouterMatchesDirectPushOnScrubbedObs(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	batch := append(fleet.SynthStream("ok", 96, 0),
+		fleet.Obs{Beacon: "poison", T: 1, RSS: math.NaN()},
+		fleet.Obs{Beacon: "", T: 2, RSS: -60},
+	)
+
+	direct := startCluster(t, 1, nil)[0]
+	cl, err := netproto.DialFleet(ctx, direct.addr)
+	if err != nil {
+		t.Fatalf("DialFleet: %v", err)
+	}
+	defer cl.Close()
+	want, err := cl.Push(ctx, batch)
+	if err != nil {
+		t.Fatalf("direct Push: %v", err)
+	}
+
+	r, err := New(clusterAddrs(startCluster(t, 3, nil)), Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer r.Close()
+	got, err := r.PushBatch(ctx, batch)
+	if err != nil {
+		t.Fatalf("PushBatch: %v", err)
+	}
+
+	if len(got) != len(want) {
+		t.Fatalf("routed push returned %d results %+v, direct push %d %+v", len(got), got, len(want), want)
+	}
+	for i := range want {
+		if got[i].Beacon != want[i].Beacon || got[i].Err != nil || want[i].Err != "" {
+			t.Fatalf("result %d: routed %q (err %v), direct %q (err %q)",
+				i, got[i].Beacon, got[i].Err, want[i].Beacon, want[i].Err)
+		}
+		if len(want[i].Fixes) == 0 {
+			t.Fatalf("%s: no fixes; the comparison is vacuous", want[i].Beacon)
+		}
+		requireSameFixes(t, got[i].Beacon, got[i].Fixes, want[i].Fixes)
+	}
+	if routed, landed := r.Metrics().Counters["router.obs.routed"], direct.fl.Metrics().Counters["fleet.obs.pushed"]; routed != landed {
+		t.Errorf("router.obs.routed = %d, want the %d observations a direct push lands", routed, landed)
+	}
+}
+
 // TestRouterNoUsableNodes: with every node out of the ring, PushBatch
 // still answers per beacon — each result carries ErrNoNodes instead of
 // the whole batch erroring.
@@ -557,7 +612,7 @@ func TestRouterClosed(t *testing.T) {
 
 // TestRouterConfigValidation: the address list is the cluster identity —
 // empty, blank, and duplicate entries are construction errors — and
-// locb1 is the only codec a router speaks.
+// netproto.CodecBinary is the only codec a router speaks.
 func TestRouterConfigValidation(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
 		t.Error("New(nil) succeeded")
@@ -569,7 +624,7 @@ func TestRouterConfigValidation(t *testing.T) {
 		t.Error("New with duplicate addresses succeeded")
 	}
 	if _, err := New([]string{"a:1"}, Config{Codec: "json"}); err == nil {
-		t.Error("New with a codec other than locb1 succeeded")
+		t.Errorf("New with a codec other than %s succeeded", netproto.CodecBinary)
 	}
 	r, err := New([]string{"a:1"}, Config{Codec: netproto.CodecBinary})
 	if err != nil {

@@ -247,15 +247,6 @@ func WithButterworthOrder(order int) Option {
 // outlier-resistant IRLS estimation; the default is LossSquared).
 func WithLoss(l Loss) Option { return func(c *core.Config) { c.Estimator.Loss = l } }
 
-// WithoutDegradationLadder disables both fallback rungs (RSS-only and
-// last-known), restoring the strict reject-on-impairment contract.
-func WithoutDegradationLadder() Option {
-	return func(c *core.Config) {
-		c.Ladder.DisableRSSOnly = true
-		c.Ladder.DisableLastKnown = true
-	}
-}
-
 // System is a ready-to-use LocBLE pipeline. Safe for concurrent use.
 type System struct {
 	engine *core.Engine
@@ -478,7 +469,7 @@ type (
 	// checkpoint store, idle horizon, per-shard session cap).
 	FleetConfig = fleet.Config
 	// FleetObs is one beacon-tagged fused observation, the unit of
-	// fleet ingest.
+	// fleet ingest, pushed to a Router or a fleet server as is.
 	FleetObs = fleet.Obs
 	// FleetResult is one beacon's outcome of a PushBatch call.
 	FleetResult = fleet.Result
@@ -535,9 +526,10 @@ type (
 	// Router is the consistent-hash fan-out over fleet servers.
 	Router = router.Router
 	// RouterConfig configures a Router. Its only field is the wire
-	// codec; the ring (64 virtual nodes per node) and the per-node
-	// circuit breaker are the same on every router, so gateways agree
-	// on each beacon's owner.
+	// codec, which may be left empty: nodes speak only locb2, one
+	// request frame and one reply frame per push. The ring (64 virtual
+	// nodes per node) and the per-node circuit breaker are the same on
+	// every router, so gateways agree on each beacon's owner.
 	RouterConfig = router.Config
 	// RouterResult is one beacon's merged outcome of a routed
 	// PushBatch.

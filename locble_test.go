@@ -107,7 +107,6 @@ func TestPublicAPIOptions(t *testing.T) {
 		locble.WithStreamingANF(),
 		locble.WithButterworthOrder(4),
 		locble.WithLoss(locble.LossHuber),
-		locble.WithoutDegradationLadder(),
 	} {
 		if _, err := locble.New(opt); err != nil {
 			t.Errorf("New with option: %v", err)
@@ -118,8 +117,8 @@ func TestPublicAPIOptions(t *testing.T) {
 // TestPublicAPIHostileData exercises the README's hostile-data story
 // through the facade alone: a Huber-loss System flags a cloned beacon
 // identity (ReasonBeaconAnomaly) while still producing a usable fix,
-// an unusable IMU degrades to the RSS-only rung with Position.Mode
-// saying so, and WithoutDegradationLadder restores the hard rejection.
+// and an unusable IMU degrades to the RSS-only rung with Position.Mode
+// saying so.
 func TestPublicAPIHostileData(t *testing.T) {
 	simulate := func(seed int64) *locble.Trace {
 		tr, err := locble.Simulate(locble.Scenario{
@@ -163,18 +162,6 @@ func TestPublicAPIHostileData(t *testing.T) {
 	}
 	if pos.Mode != locble.ModeRSSOnly || !pos.Health.Has(locble.ReasonRSSOnlyFallback) {
 		t.Errorf("RSS-only rung not reported: mode %s, health %s", pos.Mode, pos.Health)
-	}
-
-	strict, err := locble.New(locble.WithoutDegradationLadder())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr = simulate(3)
-	tr.IMU = &imu.Trace{}
-	if _, err := strict.Locate(tr, "keys"); err == nil {
-		t.Error("ladder disabled: IMU loss must reject")
-	} else if locble.HealthFromError(err).Status != locble.HealthRejected {
-		t.Errorf("ladder disabled: want a rejection diagnosis, got %v", err)
 	}
 }
 
